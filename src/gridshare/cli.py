@@ -35,14 +35,12 @@ def _add_scenario_args(parser):
     _add_seed_args(parser)
 
 
-_FLAG_TO_FIELD = {
-    "n_tas": "n_tas", "bits_p": "bits_p", "bits_b": "bits_b",
-    "scale": "scale", "zeta": "zeta", "varsigma": "varsigma", "beta": "beta",
-    "mode": "mode", "mr_rounds": "mr_rounds",
-    "worst_case": "worst_case", "force_reveal": "force_reveal",
-    "seed_profiles": "seed_profiles", "seed_crypto": "seed_crypto",
-    "seed_adversary": "seed_adversary",
-}
+# Scenario flags whose parsed name is the ScenarioConfig field they set.
+_OVERRIDE_FIELDS = (
+    "n_tas", "bits_p", "bits_b", "scale", "zeta", "varsigma", "beta", "mode",
+    "mr_rounds", "worst_case", "force_reveal",
+    "seed_profiles", "seed_crypto", "seed_adversary",
+)
 
 
 def build_config(args):
@@ -52,8 +50,8 @@ def build_config(args):
     else:
         config = harness.ScenarioConfig()
     overrides = {}
-    for flag, name in _FLAG_TO_FIELD.items():
-        value = getattr(args, flag, None)
+    for name in _OVERRIDE_FIELDS:
+        value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
     if getattr(args, "faithful_keygen", None):

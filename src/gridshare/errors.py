@@ -17,8 +17,8 @@ class InvalidParametersError(GridShareError):
     """Group parameters failed a structural check (order, cofactor, size)."""
 
 
-class InvalidKeyError(GridShareError):
-    """Commitment key failed its order checks."""
+class InvalidKeyError(InvalidParametersError):
+    """Commitment key generators failed their order checks."""
 
 
 class EncodingRangeError(GridShareError):

@@ -3,6 +3,7 @@ suite (traffic tables, baseline comparison, detection accuracy, sweeps)."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import statistics
 import time
@@ -84,7 +85,8 @@ class RunReport:
     status: str = ""
     check_result: str = ""
     detection: protocol.DetectionReport | None = None
-    timings: dict = field(default_factory=dict)        # phase -> seconds
+    timings: dict = field(                             # phase -> seconds
+        default_factory=lambda: dict.fromkeys(PHASES, 0.0))
     traffic_kb: dict = field(default_factory=dict)     # phase -> {TA, TO}
     storage_kb: dict = field(default_factory=dict)
     transcript: Transcript | None = None
@@ -129,83 +131,101 @@ def resolve_beta(config, tas, slot_codec):
     return sum(policy(slot_codec.decode(ta.E_n)) for ta in tas) / 2
 
 
-def run_scenario(config, ck=None):
-    """Execute one full slot under the configured mode and return a
-    report whose traffic/storage numbers come solely from the transcript."""
-    validate_config(config)
-    transcript = Transcript(record_messages=config.record_messages)
-    report = RunReport(config=config, transcript=transcript)
+@contextlib.contextmanager
+def _timed(timings, phase):
+    """Record the wall time of the enclosed block as `phase`'s timing."""
+    t0 = time.perf_counter()
+    yield
+    timings[phase] = time.perf_counter() - t0
+
+
+def _run_head(report, ck=None):
+    """The adversary-independent start of a slot: in secure mode, accept
+    a key (`ck` if given, else a generated one); then negotiate and store
+    the forecasts. Fills the report's key, price and timings, and returns
+    the agents, the operator and the slot codec."""
+    config, transcript = report.config, report.transcript
+    secure = config.mode == "secure"
     tas = build_agents(config)
     to = protocol.Operator()
     negotiation_codec = sharing.FixedPointCodec(sharing.NEGOTIATION_MODULUS,
                                                 config.scale)
-    secure = config.mode == "secure"
-
+    slot_codec = negotiation_codec
     if secure:
-        t0 = time.perf_counter()
-        if ck is None:
-            ck = protocol.run_keygen(
-                config.bits_p, config.bits_b,
-                market.random_source(config.seed_crypto, "keygen"),
-                transcript, mode=config.keygen_mode, rounds=config.mr_rounds)
-        else:
-            protocol.log_key_broadcast(ck, transcript)
-        report.timings["keygen"] = time.perf_counter() - t0
-        to.ck = ck
-        report.ck = ck
+        with _timed(report.timings, "keygen"):
+            if ck is None:
+                ck = protocol.run_keygen(
+                    config.bits_p, config.bits_b,
+                    market.random_source(config.seed_crypto, "keygen"),
+                    transcript, mode=config.keygen_mode,
+                    rounds=config.mr_rounds)
+            else:
+                protocol.log_key_broadcast(ck, transcript)
+            ck.check_generators()
+        to.ck = report.ck = ck
         slot_codec = sharing.FixedPointCodec(ck.p, config.scale)
-    else:
-        report.timings["keygen"] = 0.0
-        slot_codec = negotiation_codec
+    with _timed(report.timings, "negotiation"):
+        report.clearing_price, report.iterations, report.status = \
+            protocol.run_negotiation(
+                tas, to, config.market_config(), negotiation_codec,
+                transcript, secure=secure, worst_case=config.worst_case)
+        protocol.store_forecasts(tas, slot_codec, transcript)
+    return tas, to, slot_codec
 
-    t0 = time.perf_counter()
-    gamma, k, status = protocol.run_negotiation(
-        tas, to, config.market_config(), negotiation_codec, transcript,
-        secure=secure, worst_case=config.worst_case)
-    protocol.store_forecasts(tas, slot_codec, transcript)
-    report.timings["negotiation"] = time.perf_counter() - t0
-    report.clearing_price, report.iterations, report.status = gamma, k, status
 
-    protocol.honest_actuals(tas, slot_codec)
-    adversary_rng = market.random_source(config.seed_adversary, "adversary")
+def _run_tail(report, tas, to, slot_codec, adversary, adversary_rng,
+              force_reveal):
+    """The rest of a slot: commitment, its check (a reject aborts the
+    slot), honest actuals, the adversary, then the online phase.
 
+    `force_reveal` maps the adversary's effective targets ({index: field})
+    to whether the online phase reveals whatever the aggregate shows.
+    Fills the report's check result, detection and timings, and returns
+    the effective targets.
+    """
+    config, transcript = report.config, report.transcript
+    secure = config.mode == "secure"
+    with _timed(report.timings, "commitment"):
+        if secure:
+            openings = protocol.run_commitment(tas, to, slot_codec,
+                                               transcript)
+        else:
+            protocol.run_commitment_plain(tas, to, transcript)
+    report.check_result = "accept"
     if secure:
-        t0 = time.perf_counter()
-        commitments, e_tot, r_tot = protocol.run_commitment(
-            tas, to, slot_codec, transcript)
-        report.timings["commitment"] = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        report.check_result = protocol.run_commitment_check(
-            to, commitments, e_tot, r_tot, config.n_tas, transcript)
-        report.timings["commitment_check"] = time.perf_counter() - t0
+        with _timed(report.timings, "commitment_check"):
+            report.check_result = protocol.run_commitment_check(
+                to, *openings, config.n_tas, transcript)
         if report.check_result == "reject":
             raise ProtocolAbortError("commitment check rejected; slot aborted")
+    protocol.honest_actuals(tas, slot_codec)
+    effective = protocol.apply_adversary(adversary, tas, slot_codec,
+                                         adversary_rng)
+    with _timed(report.timings, "online"):
+        if secure:
+            report.detection = protocol.run_online(
+                tas, to, slot_codec, transcript,
+                resolve_beta(config, tas, slot_codec),
+                sigma_policy=config.sigma_policy(),
+                force_reveal=force_reveal(effective))
+        else:
+            report.detection = protocol.run_online_plain(
+                tas, to, slot_codec, transcript,
+                sigma_policy=config.sigma_policy())
+    return effective
 
-        protocol.apply_adversary(config.adversary, tas, slot_codec,
-                                 adversary_rng)
-        beta = resolve_beta(config, tas, slot_codec)
-        t0 = time.perf_counter()
-        report.detection = protocol.run_online(
-            tas, to, slot_codec, transcript, beta,
-            sigma_policy=config.sigma_policy(),
-            force_reveal=config.force_reveal)
-        report.timings["online"] = time.perf_counter() - t0
-    else:
-        t0 = time.perf_counter()
-        protocol.run_commitment_plain(tas, to, transcript)
-        report.timings["commitment"] = time.perf_counter() - t0
-        report.timings["commitment_check"] = 0.0
-        report.check_result = "accept"
-        protocol.apply_adversary(config.adversary, tas, slot_codec,
-                                 adversary_rng)
-        t0 = time.perf_counter()
-        report.detection = protocol.run_online_plain(
-            tas, to, slot_codec, transcript,
-            sigma_policy=config.sigma_policy())
-        report.timings["online"] = time.perf_counter() - t0
 
-    report.traffic_kb, report.storage_kb = measure_sizes(transcript,
+def run_scenario(config, ck=None):
+    """Execute one full slot under the configured mode and return a
+    report whose traffic/storage numbers come solely from the transcript."""
+    validate_config(config)
+    report = RunReport(config=config, transcript=Transcript(
+        record_messages=config.record_messages))
+    tas, to, slot_codec = _run_head(report, ck)
+    _run_tail(report, tas, to, slot_codec, config.adversary,
+              market.random_source(config.seed_adversary, "adversary"),
+              lambda _effective: config.force_reveal)
+    report.traffic_kb, report.storage_kb = measure_sizes(report.transcript,
                                                          config.n_tas)
     return report
 
@@ -268,9 +288,10 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
                          n_runs=500):
     """Repeated adversarial slots measuring two-phase detection accuracy.
 
-    The market is negotiated once (the key is one-off and the forecasts
-    do not depend on the adversary); each run then executes commitment,
-    check, and online with fresh crypto and adversary randomness.
+    The slot head (key and negotiation) runs once, since the key is
+    one-off and the forecasts do not depend on the adversary; each run
+    then executes the slot tail with fresh crypto and adversary
+    randomness.
     Targets rotate through the three fields and are drawn among agents
     with a non-negligible trade, since scaling a zero value changes
     nothing observable.
@@ -290,19 +311,8 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
     base = replace(base_config, mode="secure", sigma_frac=sigma_frac,
                    sigma_floor=0.0, beta=beta)
 
-    transcript = Transcript()
-    tas0 = build_agents(base)
-    to = protocol.Operator()
-    negotiation_codec = sharing.FixedPointCodec(sharing.NEGOTIATION_MODULUS,
-                                                base.scale)
-    ck = protocol.run_keygen(base.bits_p, base.bits_b,
-                             market.random_source(base.seed_crypto, "keygen"),
-                             transcript, mode=base.keygen_mode,
-                             rounds=base.mr_rounds)
-    slot_codec = sharing.FixedPointCodec(ck.p, base.scale)
-    protocol.run_negotiation(tas0, to, base.market_config(),
-                             negotiation_codec, transcript, secure=True)
-    protocol.store_forecasts(tas0, slot_codec, transcript)
+    head = RunReport(config=base, transcript=Transcript())
+    tas0, _, slot_codec = _run_head(head)
     forecasts = {ta.profile.index: ta.E_n for ta in tas0}
     profiles = [ta.profile for ta in tas0]
 
@@ -320,20 +330,9 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
     expected_list = {protocol.E_FIELD: "t_m", protocol.FORECAST_FIELD: "t_f",
                      protocol.RANDOMNESS_FIELD: "t_f"}
     for run in range(n_runs):
-        run_transcript = Transcript()
         tas = build_agents(base, profiles=profiles, run_label=f"run{run}/")
         for ta in tas:
             ta.E_n = forecasts[ta.profile.index]
-            ta.phase = "negotiated"
-        to = protocol.Operator(ck=ck)
-        commitments, e_tot, r_tot = protocol.run_commitment(
-            tas, to, slot_codec, run_transcript)
-        result = protocol.run_commitment_check(
-            to, commitments, e_tot, r_tot, base.n_tas, run_transcript)
-        if result != "accept":
-            raise ProtocolAbortError(f"honest commitment check rejected "
-                                     f"in run {run}")
-        protocol.honest_actuals(tas, slot_codec)
 
         adv_rng = market.random_source(base.seed_adversary, f"run{run}")
         e_targets = adv_rng.sample(eligible_pos, n_e_targets)
@@ -350,16 +349,12 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
             scenarios.append(protocol.AdversaryScenario(
                 target_indices=(idx,), target_field=fld,
                 perturb_lo=perturb_range[0], perturb_hi=perturb_range[1]))
-        effective = protocol.apply_adversary(scenarios, tas, slot_codec,
-                                             adv_rng)
 
-        # Reveal-side fields (E_n, r_n) never move the aggregate; audit
-        # such runs explicitly since no beta could trigger them.
-        audit = bool(effective) and protocol.E_FIELD not in effective.values()
-        report = protocol.run_online(tas, to, slot_codec, run_transcript,
-                                     beta=base.beta,
-                                     sigma_policy=base.sigma_policy(),
-                                     force_reveal=audit)
+        slot = RunReport(config=base, transcript=Transcript())
+        effective = _run_tail(slot, tas, protocol.Operator(ck=head.ck),
+                              slot_codec, scenarios, adv_rng,
+                              _audit_reveal_side)
+        report = slot.detection
         if not report.triggered:
             summary.untriggered_runs += 1
         flagged = report.t_m_list | report.t_f_list
@@ -376,6 +371,13 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
                     summary.wrong_list += 1
         summary.false_positives += len(flagged - set(effective))
     return summary
+
+
+def _audit_reveal_side(effective):
+    """Reveal-side fields (E_n, r_n) never move the aggregate, so no beta
+    could trigger a run whose only effective targets are such fields;
+    those runs are audited explicitly."""
+    return bool(effective) and protocol.E_FIELD not in effective.values()
 
 
 def sweep(config, axis, values, repeats=1):

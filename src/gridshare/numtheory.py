@@ -11,12 +11,14 @@ from dataclasses import dataclass
 
 from .errors import (
     GenerationFailureError,
+    InvalidKeyError,
     InvalidModulusError,
     InvalidParametersError,
 )
 
-# Miller-Rabin round count used when verifying generated primes.
-DEFAULT_MR_ROUNDS = 5000
+# Miller-Rabin round count used when verifying primes; a composite
+# passes with probability at most 4**-64.
+DEFAULT_MR_ROUNDS = 64
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107,
@@ -125,20 +127,16 @@ class Group:
                 raise InvalidParametersError(
                     f"enumeration found {len(elems)} elements, expected {p}")
             self.elements = elems
+            self._ordered = sorted(elems)
 
     def sample(self, rng):
         if self.elements is not None:
-            return rng.choice(sorted(self.elements))
+            return rng.choice(self._ordered)
         i = rng.randrange(1, self.q)
         return pow(i, self.b, self.q)
 
     def contains(self, x):
         return 0 < x < self.q and pow(x, self.p, self.q) == 1
-
-
-def build_group(p, q, b, mode="fast"):
-    """Construct the subgroup for verified (p, q, b)."""
-    return Group(p, q, b, mode=mode)
 
 
 def pick_generators(group, rng):
@@ -179,19 +177,23 @@ class GroupParams:
         # q, g, h each travel as bits_q-bit values, p as bits_p bits.
         return 3 * self.bits_q + self.bits_p
 
-    def validate(self, rounds=64, rng=None):
+    def check_generators(self):
+        """g and h are distinct non-identity elements of order p."""
+        for name, x in (("g", self.g), ("h", self.h)):
+            if x in (0, 1) or pow(x, self.p, self.q) != 1:
+                raise InvalidKeyError(f"{name} is not a non-identity "
+                                      "element of the subgroup")
+        if self.g == self.h:
+            raise InvalidKeyError("g and h must differ")
+
+    def validate(self, rounds=DEFAULT_MR_ROUNDS, rng=None):
         if self.b * self.p + 1 != self.q:
             raise InvalidParametersError("q != b*p + 1")
         rng = rng or random.Random(0)
         for name, n in (("q", self.q), ("p", self.p)):
             if not is_probable_prime(n, rounds, rng):
                 raise InvalidParametersError(f"{name} is not prime")
-        for name, x in (("g", self.g), ("h", self.h)):
-            if x in (0, 1) or pow(x, self.p, self.q) != 1:
-                raise InvalidParametersError(f"{name} is not a non-identity "
-                                             "element of the subgroup")
-        if self.g == self.h:
-            raise InvalidParametersError("g and h must differ")
+        self.check_generators()
         return self
 
     def serialize(self):
@@ -207,7 +209,11 @@ class GroupParams:
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            fields[key.strip()] = int(value.strip())
+            try:
+                fields[key.strip()] = int(value.strip())
+            except ValueError:
+                raise InvalidParametersError(
+                    f"malformed key line {line!r}") from None
         missing = {"q", "p", "b", "g", "h"} - set(fields)
         if missing:
             raise InvalidParametersError(f"missing key fields: {sorted(missing)}")
@@ -218,6 +224,6 @@ def generate_group_params(bits_p, bits_b, rng, mode="fast",
                           rounds=DEFAULT_MR_ROUNDS):
     """Full key generation: prime pair, subgroup, two generators."""
     p, q, b = gen_prime_pair(bits_p, bits_b, rng, rounds=rounds)
-    group = build_group(p, q, b, mode=mode)
+    group = Group(p, q, b, mode=mode)
     g, h = pick_generators(group, rng)
     return GroupParams(q=q, p=p, b=b, g=g, h=h)

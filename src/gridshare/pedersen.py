@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidKeyError, InvalidParametersError
+from .errors import InvalidParametersError
 
 
 @dataclass(frozen=True)
@@ -15,18 +15,10 @@ class Commitment:
     bits: int
 
 
-def _check_key(ck):
-    if pow(ck.g, ck.p, ck.q) != 1 or pow(ck.h, ck.p, ck.q) != 1:
-        raise InvalidKeyError("generators do not have order p")
-    if ck.g in (0, 1) or ck.h in (0, 1) or ck.g == ck.h:
-        raise InvalidKeyError("generators must be distinct and non-identity")
-
-
-def commit(ck, message, randomness, checked=True):
+def commit(ck, message, randomness):
     """g^message * h^randomness mod q; exponents reduce mod the group
-    order p."""
-    if checked:
-        _check_key(ck)
+    order p. The key is checked once, when a slot accepts it
+    (`GroupParams.check_generators`), not on every commitment."""
     value = (pow(ck.g, message % ck.p, ck.q)
              * pow(ck.h, randomness % ck.p, ck.q)) % ck.q
     return Commitment(value=value, bits=ck.bits_q)
@@ -34,7 +26,7 @@ def commit(ck, message, randomness, checked=True):
 
 def verify_open(ck, c, message, randomness):
     """True iff (message, randomness) opens the commitment c."""
-    return commit(ck, message, randomness, checked=False).value == c.value
+    return commit(ck, message, randomness).value == c.value
 
 
 def product(commitments, ck):

@@ -77,7 +77,6 @@ class TAgent:
         self.reveal_E = None
         self.reveal_r = None
         self.refuse_reveal = False
-        self.phase = "init"
 
     @property
     def id(self):
@@ -164,12 +163,19 @@ def run_negotiation(tas, to, config, codec, transcript, secure=True,
 
 
 def store_forecasts(tas, slot_codec, transcript):
-    """Each agent stores its negotiated trade, re-encoded into the
-    commitment field."""
+    """Each agent stores its negotiated trade, projected onto its feasible
+    range (magnitude at most |E_n_tot|) and re-encoded into the
+    commitment field.
+
+    Negotiation enforces the bound only through its dual variables, so a
+    trade can end above it; the projection keeps every forecast within
+    the 20 kWh that `validate_config` checks the field against.
+    """
     for ta in tas:
-        ta.E_n = slot_codec.encode(market.signed_trade(ta.state))
+        bound = abs(ta.profile.E_n_tot)
+        trade = market.signed_trade(ta.state)
+        ta.E_n = slot_codec.encode(max(-bound, min(bound, trade)))
         transcript.store(ta.id, "negotiation", SCALAR_BITS)
-        ta.phase = "negotiated"
 
 
 def run_keygen(bits_p, bits_b, rng, transcript, mode="fast",
@@ -208,7 +214,6 @@ def run_commitment(tas, to, slot_codec, transcript, failure_injector=None):
     for ta, c in zip(tas, commitments):
         transcript.send(phase, COMMITMENT_SUBMIT, ta.id, TO_ID, c.bits)
         transcript.store(ta.id, phase, SCALAR_BITS)   # r_n kept for reveal
-        ta.phase = "committed"
     # Aggregate submissions already counted inside the share rounds; the
     # operator now holds the combined openings and every commitment.
     return commitments, e_total, r_total

@@ -44,9 +44,13 @@ class FixedPointCodec:
 
         With check_range=False the value may wrap; only sums whose true
         magnitude stays under p/2 decode meaningfully afterwards.
+        Non-finite values never encode.
         """
         scaled = x * self.scale
-        m = int(abs(scaled) + 0.5)
+        try:
+            m = int(abs(scaled) + 0.5)
+        except (ValueError, OverflowError):     # NaN, +-inf
+            raise EncodingRangeError(f"cannot encode {x!r}") from None
         if check_range and 2 * m >= self.modulus:
             raise EncodingRangeError(
                 f"|{x}| * {self.scale} exceeds the centered range of "
@@ -61,14 +65,6 @@ class FixedPointCodec:
         if v > self.modulus // 2:
             v -= self.modulus
         return v / self.scale
-
-
-def encode_fixed(x, codec):
-    return codec.encode(x)
-
-
-def decode_fixed(v, codec):
-    return codec.decode(v)
 
 
 def split(secret, n_parties, modulus, rng):

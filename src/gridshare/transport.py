@@ -8,7 +8,6 @@ bits_p bits, and notifications are free. KB means 1024 bytes.
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -52,23 +51,11 @@ class Transcript:
         self.messages = []
         self.traffic_bits = defaultdict(int)     # (entity, phase) -> bits sent
         self.storage_bits = defaultdict(int)     # (entity, phase) -> bits stored
-        self._lock = threading.Lock()            # concurrent per-TA sends
 
     def send(self, phase, kind, sender, receiver, bits):
-        with self._lock:
-            self.traffic_bits[(sender, phase)] += bits
-            if self.record_messages:
-                self.messages.append(Message(phase, kind, sender, receiver,
-                                             bits))
-
-    def send_many(self, phase, kind, sender, receivers, bits_each):
-        """Bulk point-to-point sends with one counter update."""
-        with self._lock:
-            self.traffic_bits[(sender, phase)] += bits_each * len(receivers)
-            if self.record_messages:
-                for r in receivers:
-                    self.messages.append(Message(phase, kind, sender, r,
-                                                 bits_each))
+        self.traffic_bits[(sender, phase)] += bits
+        if self.record_messages:
+            self.messages.append(Message(phase, kind, sender, receiver, bits))
 
     def broadcast(self, phase, kind, sender, bits):
         """A broadcast counts once against the sender, per the wire model."""
@@ -82,12 +69,6 @@ class Transcript:
 
     def storage_kb(self, entity, phase):
         return self.storage_bits[(entity, phase)] / 8 / 1024
-
-    def entities(self):
-        seen = set()
-        for entity, _ in list(self.traffic_bits) + list(self.storage_bits):
-            seen.add(entity)
-        return sorted(seen)
 
 
 def ta_id(n):

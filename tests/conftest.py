@@ -4,9 +4,9 @@ import pytest
 
 from gridshare import numtheory
 
-# Reduced Miller-Rabin rounds for test speed; the default (5000) is far
-# beyond what any test needs for correctness.
-TEST_MR_ROUNDS = 64
+# Miller-Rabin rounds for keys made in tests: the library default, which
+# bounds the error at 4**-64.
+TEST_MR_ROUNDS = numtheory.DEFAULT_MR_ROUNDS
 
 TOY_KEY = numtheory.GroupParams(q=11, p=5, b=2, g=3, h=4)
 

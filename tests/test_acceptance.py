@@ -155,12 +155,11 @@ def test_criterion_6_crypto_oracles(full_key):
         m1, r1 = rng.randrange(full_key.p), rng.randrange(full_key.p)
         m2, r2 = rng.randrange(full_key.p), rng.randrange(full_key.p)
         lhs = pedersen.product(
-            [pedersen.commit(full_key, m1, r1, checked=False),
-             pedersen.commit(full_key, m2, r2, checked=False)], full_key)
+            [pedersen.commit(full_key, m1, r1),
+             pedersen.commit(full_key, m2, r2)], full_key)
         assert lhs.value == pedersen.commit(
-            full_key, (m1 + m2) % full_key.p, (r1 + r2) % full_key.p,
-            checked=False).value
-        c = pedersen.commit(full_key, m1, r1, checked=False)
+            full_key, (m1 + m2) % full_key.p, (r1 + r2) % full_key.p).value
+        c = pedersen.commit(full_key, m1, r1)
         assert pedersen.verify_open(full_key, c, m1, r1)
         assert not pedersen.verify_open(full_key, c, m1,
                                         (r1 + 1) % full_key.p)

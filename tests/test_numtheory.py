@@ -80,7 +80,7 @@ def test_gen_prime_pair_rejects_tiny_sizes():
 
 
 def test_faithful_group_enumeration_toy():
-    group = numtheory.build_group(5, 11, 2, mode="faithful")
+    group = numtheory.Group(5, 11, 2, mode="faithful")
     assert group.elements == {1, 3, 4, 5, 9}
     for x in group.elements:
         assert pow(x, 5, 11) == 1
@@ -88,8 +88,8 @@ def test_faithful_group_enumeration_toy():
 
 def test_fast_and_faithful_membership_agree():
     rng = random.Random(5)
-    faithful = numtheory.build_group(5, 11, 2, mode="faithful")
-    fast = numtheory.build_group(5, 11, 2, mode="fast")
+    faithful = numtheory.Group(5, 11, 2, mode="faithful")
+    fast = numtheory.Group(5, 11, 2, mode="fast")
     for _ in range(1000):
         x = fast.sample(rng)
         assert x in faithful.elements
@@ -99,7 +99,7 @@ def test_fast_and_faithful_membership_agree():
 def test_fast_mode_samples_are_subgroup_members():
     rng = random.Random(5)
     p, q, b = numtheory.gen_prime_pair(12, 12, rng, rounds=TEST_MR_ROUNDS)
-    fast = numtheory.build_group(p, q, b, mode="fast")
+    fast = numtheory.Group(p, q, b, mode="fast")
     for _ in range(1000):
         x = fast.sample(rng)
         assert fast.contains(x)
@@ -109,13 +109,13 @@ def test_fast_mode_samples_are_subgroup_members():
 def test_faithful_mode_rejects_short_enumeration():
     # p=5, q=31, b=6: i^6 mod 31 for i=1..5 yields only {1, 2, 4, 16}.
     with pytest.raises(InvalidParametersError):
-        numtheory.build_group(5, 31, 6, mode="faithful")
+        numtheory.Group(5, 31, 6, mode="faithful")
     with pytest.raises(InvalidParametersError):
-        numtheory.build_group(5, 12, 2, mode="faithful")   # q != b*p + 1
+        numtheory.Group(5, 12, 2, mode="faithful")   # q != b*p + 1
 
 
 def test_pick_generators_are_subgroup_members():
-    group = numtheory.build_group(5, 11, 2, mode="faithful")
+    group = numtheory.Group(5, 11, 2, mode="faithful")
     rng = random.Random(6)
     g, h = numtheory.pick_generators(group, rng)
     assert g != h and g != 1 and h != 1
@@ -130,6 +130,13 @@ def test_group_params_validate_and_serialize(toy_key):
     assert parsed == toy_key
     with pytest.raises(InvalidParametersError):
         numtheory.GroupParams(q=11, p=5, b=2, g=3, h=3).validate()
+
+
+def test_group_params_parse_rejects_malformed_text(toy_key):
+    text = toy_key.serialize()
+    for bad in (text.replace("q = 11", "q = abc"), text + "p 5\n"):
+        with pytest.raises(InvalidParametersError):
+            numtheory.GroupParams.parse(bad)
 
 
 def test_broadcast_bits_model(full_key):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gridshare import numtheory, pedersen
+from gridshare import harness, numtheory, pedersen
 from gridshare.errors import InvalidKeyError, InvalidParametersError
 
 
@@ -22,12 +22,15 @@ def test_commit_bits_matches_key(toy_key, full_key):
 
 
 def test_commit_rejects_bad_key():
+    # The key is checked once, where a slot accepts it, not per commit.
+    config = harness.ScenarioConfig(n_tas=4)
     bad = numtheory.GroupParams(q=11, p=5, b=2, g=2, h=4)   # 2 has order 10
-    with pytest.raises(InvalidKeyError):
-        pedersen.commit(bad, 1, 1)
     same = numtheory.GroupParams(q=11, p=5, b=2, g=3, h=3)
-    with pytest.raises(InvalidKeyError):
-        pedersen.commit(same, 1, 1)
+    for key in (bad, same):
+        with pytest.raises(InvalidKeyError):
+            harness.run_scenario(config, ck=key)
+        with pytest.raises(InvalidKeyError):
+            key.validate()
 
 
 def test_verify_open_hand_values(toy_key):
@@ -40,7 +43,7 @@ def test_verify_open_round_trip(full_key):
     rng = random.Random(0)
     for _ in range(1000):
         m, r = rng.randrange(full_key.p), rng.randrange(full_key.p)
-        c = pedersen.commit(full_key, m, r, checked=False)
+        c = pedersen.commit(full_key, m, r)
         assert pedersen.verify_open(full_key, c, m, r)
 
 
@@ -63,10 +66,10 @@ def test_homomorphism_random_full_size(full_key):
         m1, r1 = rng.randrange(full_key.p), rng.randrange(full_key.p)
         m2, r2 = rng.randrange(full_key.p), rng.randrange(full_key.p)
         combined = pedersen.product(
-            [pedersen.commit(full_key, m1, r1, checked=False),
-             pedersen.commit(full_key, m2, r2, checked=False)], full_key)
+            [pedersen.commit(full_key, m1, r1),
+             pedersen.commit(full_key, m2, r2)], full_key)
         direct = pedersen.commit(full_key, (m1 + m2) % full_key.p,
-                                 (r1 + r2) % full_key.p, checked=False)
+                                 (r1 + r2) % full_key.p)
         assert combined.value == direct.value
 
 

@@ -42,6 +42,17 @@ def _committed_slot(full_key, forecasts, seed=0):
     return tas, to, codec, transcript
 
 
+def test_store_forecasts_projects_onto_feasible_range():
+    # A 20-bit field holds at most 26 kWh at scale 10^4; a negotiated
+    # trade above the agent's |E_n_tot| is stored at that bound.
+    codec = sharing.FixedPointCodec((1 << 19) + 1, 10_000)
+    tas = _make_tas([20.0, -20.0, 10.0])
+    tas[0].state.E = tas[1].state.E = 29.0
+    tas[2].state.E = 4.0
+    protocol.store_forecasts(tas, codec, Transcript())
+    assert [codec.decode(ta.E_n) for ta in tas] == [20.0, -20.0, 4.0]
+
+
 def test_honest_end_to_end_accepts_and_stays_quiet(full_key):
     tas, to, codec, transcript = _committed_slot(full_key, [5.0, -3.0, -2.0])
     report = protocol.run_online(tas, to, codec, transcript, beta=0.1)

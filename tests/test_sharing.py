@@ -41,6 +41,14 @@ def test_encode_range_check():
     assert codec.encode(51, check_range=False) == 51   # wraps knowingly
 
 
+def test_encode_rejects_non_finite():
+    codec = sharing.FixedPointCodec((1 << 20) + 7, 10_000)
+    for x in (float("nan"), float("inf"), float("-inf")):
+        for check_range in (True, False):
+            with pytest.raises(EncodingRangeError):
+                codec.encode(x, check_range=check_range)
+
+
 def test_split_forced_randomness():
     shares = sharing.split(42, 3, 101, SequenceRng([10, 20]))
     assert shares == [10, 20, 12]
