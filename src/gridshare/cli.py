@@ -8,7 +8,7 @@ import dataclasses
 import sys
 
 from . import harness, numtheory
-from .errors import GridShareError
+from .errors import GridShareError, InvalidConfigError
 from .transport import PHASES
 
 
@@ -109,6 +109,12 @@ def cmd_sweep(args):
 
 def cmd_detect(args):
     config = build_config(args)
+    # The experiment runs secure slots and decides reveals by its own
+    # audit rule, so these settings would be silently ignored.
+    if config.mode != "secure" or config.force_reveal:
+        raise InvalidConfigError(
+            "detect runs secure slots with its own reveal rule; "
+            "--mode plain and --force-reveal do not apply")
     summary = harness.detection_experiment(
         config, n_targets=args.targets, n_runs=args.runs)
     print(f"runs: {summary.runs}, targets per run: {summary.targets_per_run}")

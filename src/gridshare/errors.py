@@ -47,3 +47,8 @@ class LifecycleError(GridShareError):
 
 class ProtocolAbortError(GridShareError):
     """The slot was aborted (rejected commitments or injected transport failure)."""
+
+
+class AsymmetricTranscriptError(GridShareError):
+    """Agents' traffic or storage counters differ where the protocol makes
+    them equal, so no single agent's counters represent the TA class."""

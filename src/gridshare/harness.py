@@ -10,7 +10,11 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 from . import market, numtheory, protocol, sharing
-from .errors import InvalidConfigError, ProtocolAbortError
+from .errors import (
+    AsymmetricTranscriptError,
+    InvalidConfigError,
+    ProtocolAbortError,
+)
 from .transport import PHASES, TO_ID, Transcript, ta_id
 
 MAX_TRADE_KWH = market.E_TOT_RANGE[1]
@@ -103,12 +107,22 @@ def measure_sizes(transcript, n_tas):
     """Per-phase traffic and storage in KB, per entity class.
 
     The TA column is per single agent; the protocol is symmetric, so
-    every agent's counters agree and TA0 is representative.
+    every agent's counters agree and TA0 is representative. That is
+    checked: counters that differ raise AsymmetricTranscriptError.
     """
     traffic = {}
     storage = {}
     ta0 = ta_id(0)
     for phase in PHASES:
+        for counters, what in ((transcript.traffic_bits, "traffic"),
+                               (transcript.storage_bits, "storage")):
+            expected = counters.get((ta0, phase), 0)
+            for n in range(1, n_tas):
+                got = counters.get((ta_id(n), phase), 0)
+                if got != expected:
+                    raise AsymmetricTranscriptError(
+                        f"{ta_id(n)} {phase} {what} is {got} bits, "
+                        f"{ta0} has {expected}")
         traffic[phase] = {"TA": transcript.traffic_kb(ta0, phase),
                           "TO": transcript.traffic_kb(TO_ID, phase)}
         storage[phase] = {"TA": transcript.storage_kb(ta0, phase),

@@ -243,6 +243,15 @@ def default_sigma_policy(forecast_kwh):
     return max(0.1, 0.05 * abs(forecast_kwh))
 
 
+def _encode_actual(slot_codec, kwh):
+    """Encode a meter reading projected onto the field's range, as
+    `store_forecasts` does for forecasts: a reading beyond the range is
+    metered at the bound and flagged like any deviation, instead of
+    aborting the slot."""
+    bound = slot_codec.max_magnitude
+    return slot_codec.encode(max(-bound, min(bound, kwh)))
+
+
 def run_online(tas, to, slot_codec, transcript, beta, sigma_policy=None,
                force_reveal=False, failure_injector=None):
     """Post-slot verification: share the metered actuals, compare the
@@ -255,7 +264,7 @@ def run_online(tas, to, slot_codec, transcript, beta, sigma_policy=None,
         raise LifecycleError("online phase requires an accepted commitment check")
     sigma_policy = sigma_policy or default_sigma_policy
     p = slot_codec.modulus
-    actuals_enc = [slot_codec.encode(ta.e_actual) for ta in tas]
+    actuals_enc = [_encode_actual(slot_codec, ta.e_actual) for ta in tas]
     e_total = _share_round(tas, actuals_enc, p, transcript, phase)
     for ta in tas:
         transcript.store(ta.id, phase, SCALAR_BITS)   # metered actual
@@ -274,7 +283,8 @@ def run_online(tas, to, slot_codec, transcript, beta, sigma_policy=None,
             report.t_f_list.add(ta.profile.index)
             transcript.send(phase, FLAG_NOTIFY, TO_ID, ta.id, NOTIFY_BITS)
             continue
-        per_ta_dev = abs(slot_codec.decode((reveal_E - e_enc) % p))
+        per_ta_dev = abs(slot_codec.decode(reveal_E)
+                         - slot_codec.decode(e_enc))
         if per_ta_dev > sigma_policy(slot_codec.decode(reveal_E)):
             report.t_m_list.add(ta.profile.index)
             transcript.send(phase, FLAG_NOTIFY, TO_ID, ta.id, NOTIFY_BITS)
@@ -289,11 +299,11 @@ def run_online_plain(tas, to, slot_codec, transcript, sigma_policy=None):
     report = DetectionReport()
     total = 0
     for ta in tas:
-        e_enc = slot_codec.encode(ta.e_actual)
+        e_enc = _encode_actual(slot_codec, ta.e_actual)
         transcript.send(phase, AGGREGATE_SUBMIT, ta.id, TO_ID, SCALAR_BITS)
         transcript.store(ta.id, phase, SCALAR_BITS)
         total = (total + e_enc) % slot_codec.modulus
-        dev = abs(slot_codec.decode((ta.E_n - e_enc) % slot_codec.modulus))
+        dev = abs(slot_codec.decode(ta.E_n) - slot_codec.decode(e_enc))
         if dev > sigma_policy(slot_codec.decode(ta.E_n)):
             report.t_m_list.add(ta.profile.index)
     report.e_total = slot_codec.decode(total)
@@ -338,7 +348,8 @@ def apply_adversary(scenarios, tas, slot_codec, rng):
             if sc.target_field == E_FIELD:
                 honest = ta.e_actual
                 ta.e_actual = honest * factor
-                if slot_codec.encode(ta.e_actual) != slot_codec.encode(honest):
+                if (_encode_actual(slot_codec, ta.e_actual)
+                        != _encode_actual(slot_codec, honest)):
                     effective[idx] = E_FIELD
             elif sc.target_field == FORECAST_FIELD:
                 perturbed = slot_codec.encode(

@@ -1,8 +1,13 @@
-"""(N,N) additive secret sharing over a prime field with fixed-point
-encoding of signed kWh quantities."""
+"""(N,N) additive secret sharing modulo an integer with fixed-point
+encoding of signed kWh quantities.
+
+Negotiation rounds share over the ring Z_2^64; commitment and online
+rounds share over the commitment group order p.
+"""
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from .errors import (
@@ -14,8 +19,9 @@ from .errors import (
 # Modulus used for negotiation-round aggregation. The commitment group
 # order (~20 bits by default) cannot hold transient per-iteration sums,
 # which reach a few hundred kWh at scale 10^4 before the price settles,
-# so those rounds share over a wide fixed prime instead. 2^61 - 1.
-NEGOTIATION_MODULUS = 2305843009213693951
+# so those rounds share over the ring Z_2^64 instead: additive sharing
+# needs no inverse, and a share is 64 random bits.
+NEGOTIATION_MODULUS = 1 << 64
 
 DEFAULT_SCALE = 10_000
 
@@ -71,10 +77,17 @@ def split(secret, n_parties, modulus, rng):
     """Share `secret` into n_parties uniform summands mod `modulus`.
 
     The first n_parties-1 shares are uniform; the last completes the sum.
+    Over NEGOTIATION_MODULUS they come from one getrandbits call, unpacked
+    as 64-bit words; any other modulus draws them with randrange.
     """
     if n_parties < 2:
         raise InvalidPartyCountError(f"need >= 2 parties, got {n_parties}")
-    shares = [rng.randrange(modulus) for _ in range(n_parties - 1)]
+    k = n_parties - 1
+    if modulus == NEGOTIATION_MODULUS:
+        words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
+        shares = list(struct.unpack(f"<{k}Q", words))
+    else:
+        shares = [rng.randrange(modulus) for _ in range(k)]
     shares.append((secret - sum(shares)) % modulus)
     return shares
 

@@ -50,6 +50,14 @@ def test_detect_subcommand(capsys):
     assert "accuracy: 1.0000" in capsys.readouterr().out
 
 
+def test_detect_rejects_ignored_flags(capsys):
+    for flags in (["--mode", "plain"], ["--force-reveal"]):
+        code = cli.main(["detect", "--n-tas", "30", "--runs", "2",
+                         "--targets", "3", "--mr-rounds", MR, *flags])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_compare_subcommand(capsys):
     code = cli.main(["compare", "--n-tas", "6", "--mr-rounds", MR])
     assert code == 0

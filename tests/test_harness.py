@@ -4,8 +4,8 @@ import dataclasses
 import pytest
 
 from gridshare import harness
-from gridshare.errors import InvalidConfigError
-from gridshare.transport import PHASES
+from gridshare.errors import AsymmetricTranscriptError, InvalidConfigError
+from gridshare.transport import PHASES, Transcript
 from tests.conftest import TEST_MR_ROUNDS
 
 
@@ -89,6 +89,22 @@ def test_run_scenario_plain_mode():
     # Negotiation: one 32-bit submission per round.
     assert report.traffic_kb["negotiation"]["TA"] == \
         pytest.approx(20 * 32 / 8 / 1024)
+
+
+def test_measure_sizes_rejects_asymmetric_agents():
+    transcript = Transcript()
+    for ta in ("TA0", "TA1", "TA2"):
+        transcript.send("negotiation", "ShareTransfer", ta, "PEERS", 64)
+        transcript.store(ta, "online", 32)
+    traffic, _ = harness.measure_sizes(transcript, 3)
+    assert traffic["negotiation"]["TA"] == 64 / 8 / 1024
+    transcript.send("commitment", "AggregateSubmit", "TA2", "TO", 32)
+    with pytest.raises(AsymmetricTranscriptError, match="TA2 commitment"):
+        harness.measure_sizes(transcript, 3)
+    transcript = Transcript()
+    transcript.store("TA1", "online", 32)
+    with pytest.raises(AsymmetricTranscriptError, match="storage"):
+        harness.measure_sizes(transcript, 2)
 
 
 def test_key_reuse_skips_generation():

@@ -87,6 +87,36 @@ def test_actual_deviation_lands_in_t_m(full_key):
     assert report.t_f_list == set()
 
 
+def test_out_of_range_actual_lands_in_t_m(full_key):
+    # A reading past the field's range is metered at the bound: the slot
+    # runs on and the agent is flagged, in both modes.
+    tas, to, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
+    tas[0].e_actual = codec.max_magnitude + 100.0
+    report = protocol.run_online(tas, to, codec, transcript, beta=0.1,
+                                 sigma_policy=lambda _f: 0.25,
+                                 force_reveal=True)
+    assert report.t_m_list == {0}
+    assert report.t_f_list == set()
+    plain = protocol.run_online_plain(tas, to, codec, Transcript(),
+                                      sigma_policy=lambda _f: 0.25)
+    assert plain.t_m_list == {0}
+
+
+def test_deviation_is_measured_on_decoded_kwh(full_key):
+    # A forecast of +bound metered at -bound differs by almost the whole
+    # field; mod p that wraps to a difference under 2 kWh.
+    codec = _slot_codec(full_key)
+    bound = codec.max_magnitude
+    tas = _make_tas([bound, -bound])
+    protocol.store_forecasts(tas, codec, Transcript())
+    tas[0].e_actual = -bound
+    tas[1].e_actual = -bound
+    report = protocol.run_online_plain(tas, protocol.Operator(), codec,
+                                       Transcript(),
+                                       sigma_policy=lambda _f: 2.0)
+    assert report.t_m_list == {0}
+
+
 def test_forecast_reveal_perturbation_lands_in_t_f(full_key):
     tas, to, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
     tas[1].reveal_E = (tas[1].E_n + 7) % full_key.p

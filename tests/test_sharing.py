@@ -1,14 +1,19 @@
 import random
+import struct
+from types import SimpleNamespace
 
 import pytest
 
-from gridshare import sharing
+from gridshare import protocol, sharing
 from gridshare.errors import (
     EncodingRangeError,
     IncompleteSharesError,
     InvalidPartyCountError,
 )
+from gridshare.transport import Transcript
 from tests.conftest import SequenceRng
+
+RING = sharing.NEGOTIATION_MODULUS
 
 
 def test_encode_hand_values():
@@ -53,6 +58,61 @@ def test_split_forced_randomness():
     shares = sharing.split(42, 3, 101, SequenceRng([10, 20]))
     assert shares == [10, 20, 12]
     assert sum(shares) % 101 == 42
+
+
+def test_ring_split_sums_to_secret():
+    assert RING == 1 << 64
+    rng = random.Random(6)
+    for secret in (0, 1, RING - 1, rng.randrange(RING)):
+        for n in (2, 3, 17):
+            shares = sharing.split(secret, n, RING, rng)
+            assert len(shares) == n
+            assert all(0 <= s < RING for s in shares)
+            assert sum(shares) % RING == secret
+
+
+def test_ring_split_is_one_bulk_draw():
+    # The n-1 random shares are exactly one getrandbits(64*(n-1)) draw,
+    # read as little-endian 64-bit words.
+    n = 9
+    shares = sharing.split(12345, n, RING, random.Random(7))
+    bits = random.Random(7).getrandbits(64 * (n - 1))
+    words = struct.unpack(f"<{n - 1}Q", bits.to_bytes(8 * (n - 1), "little"))
+    assert shares[:-1] == list(words)
+
+
+def _ring_round(values, seed):
+    tas = [SimpleNamespace(id=f"TA{i}", rng=random.Random(f"{seed}/{i}"))
+           for i in range(len(values))]
+    return protocol._share_round(tas, values, RING, Transcript(),
+                                 "negotiation")
+
+
+def test_ring_round_decodes_signed_aggregate():
+    codec = sharing.FixedPointCodec(RING, 10_000)
+    total = _ring_round([codec.encode(-3.5), codec.encode(1.25)], seed=8)
+    assert codec.decode(total) == -2.25
+
+
+def test_ring_round_headroom():
+    # 800 agents at the 500 kWh extreme stay far inside +-2^63 / scale.
+    codec = sharing.FixedPointCodec(RING, 10_000)
+    for kwh in (500.0, -500.0):
+        total = _ring_round([codec.encode(kwh)] * 800, seed=9)
+        assert codec.decode(total) == 800 * kwh
+
+
+def test_ring_share_top_byte_uniform_chi_square():
+    scipy_stats = pytest.importorskip("scipy.stats")
+    trials, bins = 25_600, 256
+    rng = random.Random(10)
+    for position in (0, -1):      # a drawn share and the completing one
+        tally = [0] * bins
+        for _ in range(trials):
+            tally[sharing.split(42, 3, RING, rng)[position] >> 56] += 1
+        expected = trials / bins
+        stat = sum((c - expected) ** 2 / expected for c in tally)
+        assert scipy_stats.chi2.sf(stat, bins - 1) > 0.01
 
 
 def test_split_zero_secret():
