@@ -7,15 +7,15 @@ import csv
 import dataclasses
 import sys
 
-from . import harness, numtheory
+from . import harness, market, numtheory
 from .errors import GridShareError, InvalidConfigError
 from .transport import PHASES
 
 
 def _add_seed_args(parser):
-    parser.add_argument("--seed-profiles", type=int, default=1)
-    parser.add_argument("--seed-crypto", type=int, default=2)
-    parser.add_argument("--seed-adversary", type=int, default=3)
+    parser.add_argument("--seed-profiles", type=int)
+    parser.add_argument("--seed-crypto", type=int)
+    parser.add_argument("--seed-adversary", type=int)
 
 
 def _add_scenario_args(parser):
@@ -35,25 +35,18 @@ def _add_scenario_args(parser):
     _add_seed_args(parser)
 
 
-# Scenario flags whose parsed name is the ScenarioConfig field they set.
-_OVERRIDE_FIELDS = (
-    "n_tas", "bits_p", "bits_b", "scale", "zeta", "varsigma", "beta", "mode",
-    "mr_rounds", "worst_case", "force_reveal",
-    "seed_profiles", "seed_crypto", "seed_adversary",
-)
-
-
 def build_config(args):
     if getattr(args, "scenario", None):
         with open(args.scenario) as fh:
             config = harness.parse_scenario_file(fh.read())
     else:
         config = harness.ScenarioConfig()
+    # A scenario flag's parsed name is the ScenarioConfig field it sets.
     overrides = {}
-    for name in _OVERRIDE_FIELDS:
-        value = getattr(args, name, None)
+    for fld in dataclasses.fields(config):
+        value = getattr(args, fld.name, None)
         if value is not None:
-            overrides[name] = value
+            overrides[fld.name] = value
     if getattr(args, "faithful_keygen", None):
         overrides["keygen_mode"] = "faithful"
     return dataclasses.replace(config, **overrides)
@@ -140,7 +133,7 @@ def cmd_compare(args):
 
 
 def cmd_keygen(args):
-    rng = __import__("random").Random(f"{args.seed}/keygen")
+    rng = market.random_source(args.seed, "keygen")
     mode = "faithful" if args.faithful_keygen else "fast"
     ck = numtheory.generate_group_params(args.bits_p, args.bits_b, rng,
                                          mode=mode, rounds=args.mr_rounds)

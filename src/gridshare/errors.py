@@ -46,7 +46,7 @@ class LifecycleError(GridShareError):
 
 
 class ProtocolAbortError(GridShareError):
-    """The slot was aborted (rejected commitments or injected transport failure)."""
+    """The slot was aborted because the commitment check rejected."""
 
 
 class AsymmetricTranscriptError(GridShareError):

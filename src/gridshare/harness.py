@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import statistics
 import time
-from dataclasses import dataclass, field, fields, replace
+import typing
+from dataclasses import dataclass, field, replace
 
 from . import market, numtheory, protocol, sharing
 from .errors import (
@@ -67,9 +69,21 @@ def validate_config(config):
         raise InvalidConfigError(f"unknown mode {c.mode!r}")
     if c.keygen_mode not in ("faithful", "fast"):
         raise InvalidConfigError(f"unknown keygen mode {c.keygen_mode!r}")
+    for name in ("zeta", "epsilon", "gamma_init", "beta", "sigma_frac",
+                 "sigma_floor"):
+        value = getattr(c, name)
+        if value is not None and not math.isfinite(value):
+            raise InvalidConfigError(f"{name} must be finite, got {value!r}")
     if c.beta is not None and c.beta < 0:
         raise InvalidConfigError("beta must be >= 0")
+    if c.sigma_frac < 0 or c.sigma_floor < 0:
+        raise InvalidConfigError("sigma_frac and sigma_floor must be >= 0")
     c.market_config()   # raises on bad zeta/epsilon/varsigma
+    if c.mode == "plain" and any(sc.target_field != protocol.E_FIELD
+                                 for sc in protocol.as_scenarios(c.adversary)):
+        raise InvalidConfigError(
+            "plain slots have no reveal and no r_n; an adversary there "
+            "can only target e_n")
     # Worst-case group order for the requested size; individual encoded
     # trades must fit its centered range unless the scenario promises a
     # balance-constrained aggregate.
@@ -220,12 +234,10 @@ def _run_tail(report, tas, to, slot_codec, adversary, adversary_rng,
             report.detection = protocol.run_online(
                 tas, to, slot_codec, transcript,
                 resolve_beta(config, tas, slot_codec),
-                sigma_policy=config.sigma_policy(),
-                force_reveal=force_reveal(effective))
+                config.sigma_policy(), force_reveal=force_reveal(effective))
         else:
             report.detection = protocol.run_online_plain(
-                tas, to, slot_codec, transcript,
-                sigma_policy=config.sigma_policy())
+                tas, to, slot_codec, transcript, config.sigma_policy())
     return effective
 
 
@@ -440,12 +452,23 @@ def write_sweep_csv(rows, path):
 _BOOL_VALUES = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}
 
+# Scenario-file parser per ScenarioConfig field type; only an optional
+# float accepts "none". A parser raises ValueError or KeyError on bad text.
+_PARSERS = {
+    int: int,
+    float: float,
+    float | None: lambda v: None if v.lower() == "none" else float(v),
+    bool: lambda v: _BOOL_VALUES[v.lower()],
+    str: str,
+}
+_FIELD_PARSERS = {name: _PARSERS[hint] for name, hint
+                  in typing.get_type_hints(ScenarioConfig).items()
+                  if name != "adversary"}
+
 
 def parse_scenario_file(text):
     """Line-oriented key = value scenario description; unknown keys and
     malformed values are rejected."""
-    known = {f.name: f for f in fields(ScenarioConfig)
-             if f.name != "adversary"}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -455,26 +478,11 @@ def parse_scenario_file(text):
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise InvalidConfigError(f"line {lineno}: expected 'key = value'")
-        if key not in known:
+        if key not in _FIELD_PARSERS:
             raise InvalidConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _coerce(known[key], value, lineno)
-    return ScenarioConfig(**values)
-
-
-def _coerce(fld, value, lineno):
-    text = str(fld.type)
-    if "bool" in text:
         try:
-            return _BOOL_VALUES[value.lower()]
-        except KeyError:
-            raise InvalidConfigError(f"line {lineno}: bad boolean {value!r}")
-    try:
-        if "int" in text:
-            return int(value)
-        if "float" in text:
-            if value.lower() == "none":
-                return None
-            return float(value)
-    except ValueError:
-        raise InvalidConfigError(f"line {lineno}: bad value {value!r}")
-    return value
+            values[key] = _FIELD_PARSERS[key](value)
+        except (ValueError, KeyError):
+            raise InvalidConfigError(
+                f"line {lineno}: bad value {value!r} for {key}") from None
+    return ScenarioConfig(**values)

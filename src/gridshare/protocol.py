@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import market, numtheory, pedersen, sharing
-from .errors import LifecycleError, ProtocolAbortError
+from .errors import LifecycleError
 from .transport import (
     ACCEPT_NOTIFY,
     AGGREGATE_SUBMIT,
@@ -90,7 +90,6 @@ class Operator:
         self.ck = ck
         self.stored_commitments = None
         self.E_total = None        # encoded aggregate, mod group order
-        self.clearing_price = None
 
 
 def _share_round(tas, values, modulus, transcript, phase):
@@ -112,14 +111,14 @@ def _share_round(tas, values, modulus, transcript, phase):
         else:
             transcript.send(phase, SHARE_TRANSFER, ta.id, "PEERS",
                             SCALAR_BITS * (n - 1))
-    aggregates = [sum(col) % modulus for col in zip(*rows)]
+    aggregates = [sharing.reconstruct(col, modulus, n) for col in zip(*rows)]
     for ta in tas:
         transcript.send(phase, AGGREGATE_SUBMIT, ta.id, TO_ID, SCALAR_BITS)
-    return sum(aggregates) % modulus
+    return sharing.reconstruct(aggregates, modulus, n)
 
 
 def run_negotiation(tas, to, config, codec, transcript, secure=True,
-                    worst_case=False, failure_injector=None):
+                    worst_case=False):
     """Iterative price negotiation; stores each agent's final forecast.
 
     In secure mode each round's trades cross the bus as additive shares;
@@ -128,8 +127,6 @@ def run_negotiation(tas, to, config, codec, transcript, secure=True,
     trajectories agree bit for bit.
     """
     phase = "negotiation"
-    if failure_injector is not None and failure_injector(phase):
-        raise ProtocolAbortError("injected transport failure in negotiation")
     gamma = config.gamma_init
     k = 1
     while True:
@@ -158,7 +155,6 @@ def run_negotiation(tas, to, config, codec, transcript, secure=True,
             break
         k += 1
     transcript.broadcast(phase, ACCEPT_NOTIFY, TO_ID, NOTIFY_BITS)
-    to.clearing_price = gamma
     return gamma, k, status
 
 
@@ -193,12 +189,10 @@ def log_key_broadcast(ck, transcript):
     transcript.store(TO_ID, "keygen", ck.broadcast_bits)
 
 
-def run_commitment(tas, to, slot_codec, transcript, failure_injector=None):
+def run_commitment(tas, to, slot_codec, transcript):
     """Each agent commits to its forecast and shares (E_n, r_n); the
     aggregated openings and the commitment go to the operator."""
     phase = "commitment"
-    if failure_injector is not None and failure_injector(phase):
-        raise ProtocolAbortError("injected transport failure in commitment")
     ck = to.ck
     n = len(tas)
     commitments = []
@@ -237,12 +231,6 @@ def run_commitment_check(to, commitments, e_total, r_total, n_tas,
     return "reject"
 
 
-def default_sigma_policy(forecast_kwh):
-    """Per-agent deviation threshold: 5% of the forecast magnitude with
-    a 0.1 kWh floor."""
-    return max(0.1, 0.05 * abs(forecast_kwh))
-
-
 def _encode_actual(slot_codec, kwh):
     """Encode a meter reading projected onto the field's range, as
     `store_forecasts` does for forecasts: a reading beyond the range is
@@ -252,17 +240,15 @@ def _encode_actual(slot_codec, kwh):
     return slot_codec.encode(max(-bound, min(bound, kwh)))
 
 
-def run_online(tas, to, slot_codec, transcript, beta, sigma_policy=None,
-               force_reveal=False, failure_injector=None):
+def run_online(tas, to, slot_codec, transcript, beta, sigma_policy,
+               force_reveal=False):
     """Post-slot verification: share the metered actuals, compare the
     aggregate against the committed total, and on deviation reveal and
-    classify every agent."""
+    classify every agent. `sigma_policy` maps a forecast in kWh to that
+    agent's deviation threshold."""
     phase = "online"
-    if failure_injector is not None and failure_injector(phase):
-        raise ProtocolAbortError("injected transport failure in online phase")
     if to.stored_commitments is None:
         raise LifecycleError("online phase requires an accepted commitment check")
-    sigma_policy = sigma_policy or default_sigma_policy
     p = slot_codec.modulus
     actuals_enc = [_encode_actual(slot_codec, ta.e_actual) for ta in tas]
     e_total = _share_round(tas, actuals_enc, p, transcript, phase)
@@ -291,11 +277,10 @@ def run_online(tas, to, slot_codec, transcript, beta, sigma_policy=None,
     return report
 
 
-def run_online_plain(tas, to, slot_codec, transcript, sigma_policy=None):
+def run_online_plain(tas, to, slot_codec, transcript, sigma_policy):
     """Baseline online phase: actuals travel in the clear; deviation is
     checked per agent with no commitment verification."""
     phase = "online"
-    sigma_policy = sigma_policy or default_sigma_policy
     report = DetectionReport()
     total = 0
     for ta in tas:
@@ -328,17 +313,23 @@ def honest_actuals(tas, slot_codec):
         ta.e_actual = slot_codec.decode(ta.E_n)
 
 
+def as_scenarios(adversary):
+    """An adversary setting (None, one AdversaryScenario or a list of
+    them) as a list of scenarios."""
+    if adversary is None:
+        return []
+    if isinstance(adversary, AdversaryScenario):
+        return [adversary]
+    return adversary
+
+
 def apply_adversary(scenarios, tas, slot_codec, rng):
     """Mutate the targeted agents' inputs; returns {index: field} for
     targets whose value actually changed (a 5-10% scaling of a zero
     value is a no-op and cannot be observed by any detector)."""
-    if scenarios is None:
-        return {}
-    if isinstance(scenarios, AdversaryScenario):
-        scenarios = [scenarios]
     by_index = {ta.profile.index: ta for ta in tas}
     effective = {}
-    for sc in scenarios:
+    for sc in as_scenarios(scenarios):
         for idx in sc.target_indices:
             ta = by_index[idx]
             delta = rng.uniform(sc.perturb_lo, sc.perturb_hi)

@@ -93,20 +93,10 @@ def split(secret, n_parties, modulus, rng):
 
 
 def reconstruct(shares, modulus, n_parties=None):
-    """Sum of all N shares mod p; every share is required."""
+    """Sum of all N shares mod `modulus`; every share is required."""
     if n_parties is not None and len(shares) != n_parties:
         raise IncompleteSharesError(
             f"expected {n_parties} shares, got {len(shares)}")
     if not shares:
         raise IncompleteSharesError("no shares given")
     return sum(shares) % modulus
-
-
-def aggregate_received(shares_from_all, modulus, n_parties):
-    """One participant's sum of the N shares it received (one per peer,
-    including its own)."""
-    if len(shares_from_all) != n_parties:
-        raise IncompleteSharesError(
-            f"expected one contribution from each of {n_parties} parties, "
-            f"got {len(shares_from_all)}")
-    return sum(shares_from_all) % modulus

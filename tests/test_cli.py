@@ -20,8 +20,9 @@ def test_run_subcommand(tmp_path, capsys):
 
 
 def test_run_rejects_bad_config(capsys):
-    assert cli.main(["run", "--n-tas", "7"]) == 2
-    assert "error:" in capsys.readouterr().err
+    for flags in (["--n-tas", "7"], ["--n-tas", "6", "--beta", "nan"]):
+        assert cli.main(["run", *flags]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_run_with_scenario_file(tmp_path, capsys):
@@ -30,6 +31,17 @@ def test_run_with_scenario_file(tmp_path, capsys):
                         f"mr_rounds = {MR}\nmode = plain\n")
     assert cli.main(["run", "--scenario", str(scenario)]) == 0
     assert "status:" in capsys.readouterr().out
+
+
+def test_scenario_file_seeds_reach_the_run(tmp_path):
+    # A seed flag left unset keeps the scenario file's seed.
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text("seed_profiles = 9\n")
+    args = cli.build_parser().parse_args(["run", "--scenario", str(scenario)])
+    assert cli.build_config(args).seed_profiles == 9
+    args = cli.build_parser().parse_args(["run", "--scenario", str(scenario),
+                                          "--seed-profiles", "4"])
+    assert cli.build_config(args).seed_profiles == 4
 
 
 def test_sweep_subcommand(tmp_path):

@@ -3,8 +3,12 @@ import dataclasses
 
 import pytest
 
-from gridshare import harness
-from gridshare.errors import AsymmetricTranscriptError, InvalidConfigError
+from gridshare import harness, pedersen, protocol
+from gridshare.errors import (
+    AsymmetricTranscriptError,
+    InvalidConfigError,
+    ProtocolAbortError,
+)
 from gridshare.transport import PHASES, Transcript
 from tests.conftest import TEST_MR_ROUNDS
 
@@ -19,7 +23,12 @@ def test_validate_rejects_bad_configs():
     for overrides in (dict(n_tas=7), dict(n_tas=0), dict(bits_p=4),
                       dict(scale=0), dict(mode="hybrid"),
                       dict(keygen_mode="lazy"), dict(beta=-1.0),
-                      dict(zeta=0.0)):
+                      dict(zeta=0.0), dict(beta=float("nan")),
+                      dict(zeta=float("inf")), dict(epsilon=float("nan")),
+                      dict(gamma_init=float("inf")),
+                      dict(sigma_frac=float("nan")),
+                      dict(sigma_floor=float("-inf")),
+                      dict(sigma_frac=-0.1), dict(sigma_floor=-0.1)):
         with pytest.raises(InvalidConfigError):
             harness.validate_config(_config(**overrides))
 
@@ -53,10 +62,35 @@ def test_scenario_file_round_trip():
 
 
 def test_scenario_file_rejects_garbage():
+    # Only beta, the one optional float, accepts "none".
     for text in ("n_tas", "frobnicate = 3", "n_tas = many",
-                 "worst_case = maybe"):
+                 "worst_case = maybe", "zeta = none", "sigma_frac = none",
+                 "n_tas = none", "worst_case = none"):
         with pytest.raises(InvalidConfigError):
             harness.parse_scenario_file(text)
+
+
+def test_plain_mode_rejects_reveal_side_adversary():
+    # Plain slots have no reveal and no r_n; only e_n can be perturbed.
+    e_n = protocol.AdversaryScenario((1,), protocol.E_FIELD)
+    harness.run_scenario(_config(mode="plain", adversary=e_n))
+    for fld in (protocol.FORECAST_FIELD, protocol.RANDOMNESS_FIELD):
+        adversary = [e_n, protocol.AdversaryScenario((2,), fld)]
+        with pytest.raises(InvalidConfigError):
+            harness.run_scenario(_config(mode="plain", adversary=adversary))
+
+
+def test_rejected_commitment_check_aborts_slot(monkeypatch, full_key):
+    real_product = pedersen.product
+
+    def off_by_one(commitments, ck):
+        # The product times g opens to the aggregate forecast plus one.
+        c = real_product(commitments, ck)
+        return pedersen.Commitment(c.value * ck.g % ck.q, c.bits)
+
+    monkeypatch.setattr(pedersen, "product", off_by_one)
+    with pytest.raises(ProtocolAbortError, match="rejected"):
+        harness.run_scenario(_config(), ck=full_key)
 
 
 def test_run_scenario_secure_report_shape():

@@ -3,11 +3,12 @@ from collections import defaultdict
 
 import pytest
 
-from gridshare import market, pedersen, protocol, sharing
-from gridshare.errors import LifecycleError, ProtocolAbortError
+from gridshare import harness, market, pedersen, protocol, sharing
+from gridshare.errors import LifecycleError
 from gridshare.transport import Transcript
 
 SCALE = 1000
+SIGMA = harness.ScenarioConfig().sigma_policy()
 
 
 def _slot_codec(key):
@@ -55,7 +56,8 @@ def test_store_forecasts_projects_onto_feasible_range():
 
 def test_honest_end_to_end_accepts_and_stays_quiet(full_key):
     tas, to, codec, transcript = _committed_slot(full_key, [5.0, -3.0, -2.0])
-    report = protocol.run_online(tas, to, codec, transcript, beta=0.1)
+    report = protocol.run_online(tas, to, codec, transcript, beta=0.1,
+                                 sigma_policy=SIGMA)
     assert not report.triggered
     assert report.t_m_list == set() and report.t_f_list == set()
     assert report.e_total == pytest.approx(0.0)
@@ -121,7 +123,7 @@ def test_forecast_reveal_perturbation_lands_in_t_f(full_key):
     tas, to, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
     tas[1].reveal_E = (tas[1].E_n + 7) % full_key.p
     report = protocol.run_online(tas, to, codec, transcript, beta=0.1,
-                                 force_reveal=True)
+                                 sigma_policy=SIGMA, force_reveal=True)
     assert report.t_f_list == {1}
     assert report.t_m_list == set()
 
@@ -130,7 +132,7 @@ def test_randomness_reveal_perturbation_lands_in_t_f(full_key):
     tas, to, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
     tas[0].reveal_r = (tas[0].r_n + 1) % full_key.p
     report = protocol.run_online(tas, to, codec, transcript, beta=0.1,
-                                 force_reveal=True)
+                                 sigma_policy=SIGMA, force_reveal=True)
     assert report.t_f_list == {0}
 
 
@@ -138,7 +140,7 @@ def test_reveal_refusal_lands_in_t_f(full_key):
     tas, to, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
     tas[1].refuse_reveal = True
     report = protocol.run_online(tas, to, codec, transcript, beta=0.1,
-                                 force_reveal=True)
+                                 sigma_policy=SIGMA, force_reveal=True)
     assert report.t_f_list == {1}
 
 
@@ -169,7 +171,8 @@ def test_zero_perturbation_is_a_no_op(full_key):
     effective = protocol.apply_adversary(scenario, tas, codec,
                                          random.Random(0))
     assert effective == {}
-    report = protocol.run_online(tas, to, codec, transcript, beta=0.1)
+    report = protocol.run_online(tas, to, codec, transcript, beta=0.1,
+                                 sigma_policy=SIGMA)
     assert not report.triggered
 
 
@@ -190,18 +193,8 @@ def test_lifecycle_errors(full_key):
     with pytest.raises(LifecycleError):
         protocol.run_commitment(tas, to, codec, transcript)
     with pytest.raises(LifecycleError):
-        protocol.run_online(tas, to, codec, transcript, beta=0.1)
-
-
-def test_failure_injection_aborts(full_key):
-    codec = _slot_codec(full_key)
-    transcript = Transcript()
-    tas = _make_tas([1.0, -1.0])
-    to = protocol.Operator(ck=full_key)
-    with pytest.raises(ProtocolAbortError):
-        protocol.run_negotiation(tas, to, market.MarketConfig(), codec,
-                                 transcript,
-                                 failure_injector=lambda ph: True)
+        protocol.run_online(tas, to, codec, transcript, beta=0.1,
+                            sigma_policy=SIGMA)
 
 
 def test_negotiation_secure_equals_plain(full_key):
@@ -243,7 +236,7 @@ def test_transcript_messages_sum_to_counters(full_key):
                                   transcript)
     protocol.honest_actuals(tas, codec)
     protocol.run_online(tas, to, codec, transcript, beta=0.1,
-                        force_reveal=True)
+                        sigma_policy=SIGMA, force_reveal=True)
     by_key = defaultdict(int)
     for msg in transcript.messages:
         by_key[(msg.sender, msg.phase)] += msg.bits

@@ -161,8 +161,8 @@ def test_two_layer_aggregation_hand_case():
     rows = [sharing.split(3, 2, 101, SequenceRng([1])),
             sharing.split(4, 2, 101, SequenceRng([3]))]
     assert rows == [[1, 2], [3, 1]]
-    agg1 = sharing.aggregate_received([rows[0][0], rows[1][0]], 101, 2)
-    agg2 = sharing.aggregate_received([rows[0][1], rows[1][1]], 101, 2)
+    agg1 = sharing.reconstruct([rows[0][0], rows[1][0]], 101, 2)
+    agg2 = sharing.reconstruct([rows[0][1], rows[1][1]], 101, 2)
     assert (agg1, agg2) == (4, 3)
     assert (agg1 + agg2) % 101 == 7
 
@@ -173,7 +173,7 @@ def test_two_layer_aggregation_equals_plain_sum(n):
     p = (1 << 20) + 7
     secrets = [rng.randrange(p) for _ in range(n)]
     rows = [sharing.split(s, n, p, rng) for s in secrets]
-    aggregates = [sharing.aggregate_received(list(col), p, n)
+    aggregates = [sharing.reconstruct(list(col), p, n)
                   for col in zip(*rows)]
     assert sum(aggregates) % p == sum(secrets) % p
 
