@@ -93,7 +93,11 @@ def cmd_run(args):
 
 def cmd_sweep(args):
     config = build_config(args)
-    values = [int(v) for v in args.values.split(",")]
+    try:
+        values = [int(v) for v in args.values.split(",")]
+    except ValueError:
+        raise InvalidConfigError(
+            f"--values must be integers, got {args.values!r}") from None
     rows = harness.sweep(config, args.axis, values, repeats=args.repeats)
     harness.write_sweep_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")

@@ -44,7 +44,6 @@ class ScenarioConfig:
     worst_case: bool = False           # run negotiation for all varsigma rounds
     force_reveal: bool = False         # exercise the online reveal branch
     balance_constrained: bool = False
-    record_messages: bool = False
     adversary: object = None           # AdversaryScenario or list of them
 
     def market_config(self):
@@ -79,11 +78,15 @@ def validate_config(config):
     if c.sigma_frac < 0 or c.sigma_floor < 0:
         raise InvalidConfigError("sigma_frac and sigma_floor must be >= 0")
     c.market_config()   # raises on bad zeta/epsilon/varsigma
-    if c.mode == "plain" and any(sc.target_field != protocol.E_FIELD
-                                 for sc in protocol.as_scenarios(c.adversary)):
-        raise InvalidConfigError(
-            "plain slots have no reveal and no r_n; an adversary there "
-            "can only target e_n")
+    for sc in protocol.as_scenarios(c.adversary):
+        if any(i not in range(c.n_tas) for i in sc.target_indices):
+            raise InvalidConfigError(
+                f"adversary targets {sc.target_indices} must be agent "
+                f"indices in [0, {c.n_tas})")
+        if c.mode == "plain" and sc.target_field != protocol.E_FIELD:
+            raise InvalidConfigError(
+                "plain slots have no reveal and no r_n; an adversary there "
+                "can only target e_n")
     # Worst-case group order for the requested size; individual encoded
     # trades must fit its centered range unless the scenario promises a
     # balance-constrained aggregate.
@@ -195,7 +198,7 @@ def _run_head(report, ck=None):
     with _timed(report.timings, "negotiation"):
         report.clearing_price, report.iterations, report.status = \
             protocol.run_negotiation(
-                tas, to, config.market_config(), negotiation_codec,
+                tas, config.market_config(), negotiation_codec,
                 transcript, secure=secure, worst_case=config.worst_case)
         protocol.store_forecasts(tas, slot_codec, transcript)
     return tas, to, slot_codec
@@ -218,12 +221,12 @@ def _run_tail(report, tas, to, slot_codec, adversary, adversary_rng,
             openings = protocol.run_commitment(tas, to, slot_codec,
                                                transcript)
         else:
-            protocol.run_commitment_plain(tas, to, transcript)
+            protocol.run_commitment_plain(tas, transcript)
     report.check_result = "accept"
     if secure:
         with _timed(report.timings, "commitment_check"):
             report.check_result = protocol.run_commitment_check(
-                to, *openings, config.n_tas, transcript)
+                to, *openings, transcript)
         if report.check_result == "reject":
             raise ProtocolAbortError("commitment check rejected; slot aborted")
     protocol.honest_actuals(tas, slot_codec)
@@ -237,7 +240,7 @@ def _run_tail(report, tas, to, slot_codec, adversary, adversary_rng,
                 config.sigma_policy(), force_reveal=force_reveal(effective))
         else:
             report.detection = protocol.run_online_plain(
-                tas, to, slot_codec, transcript, config.sigma_policy())
+                tas, slot_codec, transcript, config.sigma_policy())
     return effective
 
 
@@ -245,8 +248,7 @@ def run_scenario(config, ck=None):
     """Execute one full slot under the configured mode and return a
     report whose traffic/storage numbers come solely from the transcript."""
     validate_config(config)
-    report = RunReport(config=config, transcript=Transcript(
-        record_messages=config.record_messages))
+    report = RunReport(config=config, transcript=Transcript())
     tas, to, slot_codec = _run_head(report, ck)
     _run_tail(report, tas, to, slot_codec, config.adversary,
               market.random_source(config.seed_adversary, "adversary"),
@@ -323,8 +325,8 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
     nothing observable.
     """
     validate_config(base_config)
-    if n_targets > base_config.n_tas:
-        raise InvalidConfigError("more targets than agents")
+    if not 0 <= n_targets <= base_config.n_tas:
+        raise InvalidConfigError(f"need 0 <= n_targets <= {base_config.n_tas}")
     sigma_frac = perturb_range[0] / 2
     n_e_targets = (n_targets + 2) // 3
     # Half the guaranteed aggregate shift from the actual-meter targets;
@@ -413,6 +415,8 @@ def sweep(config, axis, values, repeats=1):
         raise InvalidConfigError(f"unknown sweep axis {axis!r}")
     if not values:
         raise InvalidConfigError("sweep needs at least one value")
+    if repeats < 1:
+        raise InvalidConfigError("sweep needs repeats >= 1")
     rows = []
     for value in values:
         if axis == "n_tas":

@@ -123,8 +123,11 @@ CONVERGED = "converged"
 ITERATION_CAP = "iteration_cap"
 
 
-def check_convergence(gamma_new, gamma_old, k, config):
-    """Stop on a small price move, or on exceeding the iteration cap."""
+def check_convergence(gamma_new, gamma_old, k, config, worst_case=False):
+    """Stop on a small price move, or once `k`, the round that would run
+    next, passes the cap; in the worst case only the cap stops the loop."""
+    if worst_case:
+        return CONTINUE if k <= config.varsigma else ITERATION_CAP
     if abs(gamma_new - gamma_old) < config.epsilon:
         return CONVERGED
     if k > config.varsigma:
@@ -184,10 +187,8 @@ def central_clearing(profiles, config, quantize=None, worst_case=False):
         if quantize is not None:
             total = quantize.decode(quantized_sum)
         gamma_new = update_price(gamma, config.zeta, total)
-        # k+1 is the round that would run next; the cap allows k = 1..varsigma.
-        status = check_convergence(gamma_new, gamma, k + 1, config)
-        if worst_case and k <= config.varsigma:
-            status = CONTINUE if k < config.varsigma else ITERATION_CAP
+        status = check_convergence(gamma_new, gamma, k + 1, config,
+                                   worst_case)
         gamma = gamma_new
         if status != CONTINUE:
             return ClearingResult(gamma=gamma, iterations=k, status=status,

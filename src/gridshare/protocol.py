@@ -103,23 +103,17 @@ def _share_round(tas, values, modulus, transcript, phase):
     rows = []
     for ta, value in zip(tas, values):
         rows.append(sharing.split(value, n, modulus, ta.rng))
-        if transcript.record_messages:
-            for other in tas:
-                if other is not ta:
-                    transcript.send(phase, SHARE_TRANSFER, ta.id, other.id,
-                                    SCALAR_BITS)
-        else:
-            transcript.send(phase, SHARE_TRANSFER, ta.id, "PEERS",
-                            SCALAR_BITS * (n - 1))
+        transcript.send(phase, SHARE_TRANSFER, ta.id, "PEERS",
+                        SCALAR_BITS * (n - 1))
     aggregates = [sharing.reconstruct(col, modulus, n) for col in zip(*rows)]
     for ta in tas:
         transcript.send(phase, AGGREGATE_SUBMIT, ta.id, TO_ID, SCALAR_BITS)
     return sharing.reconstruct(aggregates, modulus, n)
 
 
-def run_negotiation(tas, to, config, codec, transcript, secure=True,
+def run_negotiation(tas, config, codec, transcript, secure=True,
                     worst_case=False):
-    """Iterative price negotiation; stores each agent's final forecast.
+    """Iterative price negotiation; returns (price, rounds, status).
 
     In secure mode each round's trades cross the bus as additive shares;
     in plain mode agents submit their quantized trades directly. Both
@@ -146,10 +140,8 @@ def run_negotiation(tas, to, config, codec, transcript, secure=True,
             total_enc = sum(trades) % codec.modulus
         total = codec.decode(total_enc)
         gamma_new = market.update_price(gamma, config.zeta, total)
-        status = market.check_convergence(gamma_new, gamma, k + 1, config)
-        if worst_case and k <= config.varsigma:
-            status = (market.CONTINUE if k < config.varsigma
-                      else market.ITERATION_CAP)
+        status = market.check_convergence(gamma_new, gamma, k + 1, config,
+                                          worst_case)
         gamma = gamma_new
         if status != market.CONTINUE:
             break
@@ -168,9 +160,8 @@ def store_forecasts(tas, slot_codec, transcript):
     the 20 kWh that `validate_config` checks the field against.
     """
     for ta in tas:
-        bound = abs(ta.profile.E_n_tot)
-        trade = market.signed_trade(ta.state)
-        ta.E_n = slot_codec.encode(max(-bound, min(bound, trade)))
+        ta.E_n = _encode_projected(slot_codec, market.signed_trade(ta.state),
+                                   abs(ta.profile.E_n_tot))
         transcript.store(ta.id, "negotiation", SCALAR_BITS)
 
 
@@ -213,8 +204,7 @@ def run_commitment(tas, to, slot_codec, transcript):
     return commitments, e_total, r_total
 
 
-def run_commitment_check(to, commitments, e_total, r_total, n_tas,
-                         transcript):
+def run_commitment_check(to, commitments, e_total, r_total, transcript):
     """Homomorphic consistency check; on success the operator stores the
     commitments and the aggregate forecast."""
     phase = "commitment_check"
@@ -224,20 +214,30 @@ def run_commitment_check(to, commitments, e_total, r_total, n_tas,
     if combined.value == recomputed.value:
         to.stored_commitments = list(commitments)
         to.E_total = e_total
-        transcript.store(TO_ID, phase, n_tas * ck.bits_q + SCALAR_BITS)
+        transcript.store(TO_ID, phase,
+                         len(commitments) * ck.bits_q + SCALAR_BITS)
         transcript.broadcast(phase, ACCEPT_NOTIFY, TO_ID, NOTIFY_BITS)
         return "accept"
     transcript.broadcast(phase, REJECT_NOTIFY, TO_ID, NOTIFY_BITS)
     return "reject"
 
 
-def _encode_actual(slot_codec, kwh):
-    """Encode a meter reading projected onto the field's range, as
-    `store_forecasts` does for forecasts: a reading beyond the range is
-    metered at the bound and flagged like any deviation, instead of
-    aborting the slot."""
-    bound = slot_codec.max_magnitude
+def _encode_projected(slot_codec, kwh, bound):
+    """Encode a kWh value projected onto [-bound, bound]."""
     return slot_codec.encode(max(-bound, min(bound, kwh)))
+
+
+def _encode_actual(slot_codec, kwh):
+    """Encode a meter reading projected onto the field's range: a reading
+    beyond it is flagged at the bound instead of aborting the slot."""
+    return _encode_projected(slot_codec, kwh, slot_codec.max_magnitude)
+
+
+def _deviates(slot_codec, forecast_enc, actual_enc, sigma_policy):
+    """|forecast - actual| > sigma(forecast), on the decoded kWh."""
+    forecast = slot_codec.decode(forecast_enc)
+    actual = slot_codec.decode(actual_enc)
+    return abs(forecast - actual) > sigma_policy(forecast)
 
 
 def run_online(tas, to, slot_codec, transcript, beta, sigma_policy,
@@ -269,15 +269,13 @@ def run_online(tas, to, slot_codec, transcript, beta, sigma_policy,
             report.t_f_list.add(ta.profile.index)
             transcript.send(phase, FLAG_NOTIFY, TO_ID, ta.id, NOTIFY_BITS)
             continue
-        per_ta_dev = abs(slot_codec.decode(reveal_E)
-                         - slot_codec.decode(e_enc))
-        if per_ta_dev > sigma_policy(slot_codec.decode(reveal_E)):
+        if _deviates(slot_codec, reveal_E, e_enc, sigma_policy):
             report.t_m_list.add(ta.profile.index)
             transcript.send(phase, FLAG_NOTIFY, TO_ID, ta.id, NOTIFY_BITS)
     return report
 
 
-def run_online_plain(tas, to, slot_codec, transcript, sigma_policy):
+def run_online_plain(tas, slot_codec, transcript, sigma_policy):
     """Baseline online phase: actuals travel in the clear; deviation is
     checked per agent with no commitment verification."""
     phase = "online"
@@ -288,14 +286,13 @@ def run_online_plain(tas, to, slot_codec, transcript, sigma_policy):
         transcript.send(phase, AGGREGATE_SUBMIT, ta.id, TO_ID, SCALAR_BITS)
         transcript.store(ta.id, phase, SCALAR_BITS)
         total = (total + e_enc) % slot_codec.modulus
-        dev = abs(slot_codec.decode(ta.E_n) - slot_codec.decode(e_enc))
-        if dev > sigma_policy(slot_codec.decode(ta.E_n)):
+        if _deviates(slot_codec, ta.E_n, e_enc, sigma_policy):
             report.t_m_list.add(ta.profile.index)
     report.e_total = slot_codec.decode(total)
     return report
 
 
-def run_commitment_plain(tas, to, transcript):
+def run_commitment_plain(tas, transcript):
     """Baseline forecast submission: each agent sends its quantized
     forecast directly and the operator stores it."""
     phase = "commitment"

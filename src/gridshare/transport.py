@@ -9,7 +9,6 @@ bits_p bits, and notifications are free. KB means 1024 bytes.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 SCALAR_BITS = 32
 NOTIFY_BITS = 0
@@ -29,33 +28,18 @@ REVEAL = "Reveal"
 FLAG_NOTIFY = "FlagNotify"
 
 
-@dataclass(frozen=True)
-class Message:
-    phase: str
-    kind: str
-    sender: str
-    receiver: str
-    bits: int
-
-
 class Transcript:
-    """Per-entity, per-phase traffic and storage counters, plus the
-    optional full message log.
-
-    Counters are always exact; retaining individual Message records is
-    optional because large runs produce millions of them.
+    """Per-entity, per-phase traffic and storage counters, exact to the
+    bit. Only the counters are kept: a send's `kind` and `receiver` name
+    the message but are not recorded.
     """
 
-    def __init__(self, record_messages=False):
-        self.record_messages = record_messages
-        self.messages = []
+    def __init__(self):
         self.traffic_bits = defaultdict(int)     # (entity, phase) -> bits sent
         self.storage_bits = defaultdict(int)     # (entity, phase) -> bits stored
 
     def send(self, phase, kind, sender, receiver, bits):
         self.traffic_bits[(sender, phase)] += bits
-        if self.record_messages:
-            self.messages.append(Message(phase, kind, sender, receiver, bits))
 
     def broadcast(self, phase, kind, sender, bits):
         """A broadcast counts once against the sender, per the wire model."""

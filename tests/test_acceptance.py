@@ -217,7 +217,7 @@ def test_criterion_8_protocol_properties(full_key, detection_summary):
                                                         transcript)
     bad = list(commitments)
     bad[2] = pedersen.commit(full_key, tas[2].E_n + 1, tas[2].r_n)
-    assert protocol.run_commitment_check(to, bad, e_tot, r_tot, 4,
+    assert protocol.run_commitment_check(to, bad, e_tot, r_tot,
                                          transcript) == "reject"
     # Secure/plain clearing-price bit-equality over 100 seeded scenarios.
     config = market.MarketConfig()
@@ -230,8 +230,7 @@ def test_criterion_8_protocol_properties(full_key, detection_summary):
             tas = [protocol.TAgent(pr, market.random_source(
                 seed, f"ta{pr.index}")) for pr in profiles]
             gamma, _, _ = protocol.run_negotiation(
-                tas, protocol.Operator(), config, codec, Transcript(),
-                secure=secure)
+                tas, config, codec, Transcript(), secure=secure)
             prices.append(gamma)
         assert prices[0] == prices[1], f"seed {seed}: {prices}"
     _report("criterion 8 PASS: 500/500 honest checks accepted, corruption "

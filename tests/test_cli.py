@@ -55,6 +55,14 @@ def test_sweep_subcommand(tmp_path):
     assert {r["axis_value"] for r in rows} == {"4", "6"}
 
 
+def test_sweep_rejects_bad_values_and_repeats(tmp_path, capsys):
+    out = str(tmp_path / "sweep.csv")
+    for flags in (["--values", "4,x"], ["--values", "4", "--repeats", "0"]):
+        code = cli.main(["sweep", "--axis", "n_tas", "--out", out, *flags])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_detect_subcommand(capsys):
     code = cli.main(["detect", "--n-tas", "30", "--runs", "2",
                      "--targets", "3", "--mr-rounds", MR])

@@ -1,11 +1,12 @@
-"""Golden report digest: a fixed N=10 report matrix must hash to a pinned
-value, so a change that means to keep every reported number identical
-can show that it did.
+"""Golden report digests: a fixed N=10 report matrix and a small
+detection experiment must each hash to a pinned value, so a change that
+means to keep every reported number identical can show that it did.
 
-A change that moves these numbers on purpose updates GOLDEN_SHA256 and
+A change that moves these numbers on purpose updates the digest and
 says why in CHANGES.md.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -54,3 +55,18 @@ def test_report_matrix_digest(full_key):
     assert len(rows) == 24
     text = json.dumps(rows, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256
+
+
+# detection_experiment at N=30: 10 runs of 6 targets each.
+GOLDEN_DETECTION_SHA256 = (
+    "10b5555aaab53d44f42683e3ee24fef13a8449f48ee041aa0bd75277c57e9fc5")
+
+
+def test_detection_summary_digest():
+    summary = harness.detection_experiment(
+        harness.ScenarioConfig(n_tas=30, mr_rounds=64), n_targets=6,
+        n_runs=10)
+    assert (summary.true_positives, summary.false_negatives) == (60, 0)
+    text = json.dumps(dataclasses.asdict(summary), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        GOLDEN_DETECTION_SHA256

@@ -28,7 +28,13 @@ def test_validate_rejects_bad_configs():
                       dict(gamma_init=float("inf")),
                       dict(sigma_frac=float("nan")),
                       dict(sigma_floor=float("-inf")),
-                      dict(sigma_frac=-0.1), dict(sigma_floor=-0.1)):
+                      dict(sigma_frac=-0.1), dict(sigma_floor=-0.1),
+                      dict(adversary=protocol.AdversaryScenario(
+                          (20,), protocol.E_FIELD)),
+                      dict(adversary=protocol.AdversaryScenario(
+                          (-1,), protocol.E_FIELD)),
+                      dict(adversary=[protocol.AdversaryScenario(
+                          (0, 10), protocol.E_FIELD)])):
         with pytest.raises(InvalidConfigError):
             harness.validate_config(_config(**overrides))
 
@@ -169,6 +175,8 @@ def test_sweep_axes_and_csv_schema(tmp_path):
         harness.sweep(_config(), "zeta", [0.1])
     with pytest.raises(InvalidConfigError):
         harness.sweep(_config(), "n_tas", [])
+    with pytest.raises(InvalidConfigError):
+        harness.sweep(_config(), "n_tas", [4], repeats=0)
 
 
 def test_single_value_sweep_matches_run_scenario():
@@ -209,8 +217,10 @@ def test_detection_experiment_honest_baseline():
 
 
 def test_detection_experiment_rejects_impossible_targets():
-    with pytest.raises(InvalidConfigError):
-        harness.detection_experiment(_config(n_tas=4), n_targets=5, n_runs=1)
+    for n_targets in (5, -1):
+        with pytest.raises(InvalidConfigError):
+            harness.detection_experiment(_config(n_tas=4),
+                                         n_targets=n_targets, n_runs=1)
 
 
 def test_config_is_frozen():

@@ -1,5 +1,4 @@
 import random
-from collections import defaultdict
 
 import pytest
 
@@ -37,7 +36,7 @@ def _committed_slot(full_key, forecasts, seed=0):
     commitments, e_tot, r_tot = protocol.run_commitment(tas, to, codec,
                                                         transcript)
     result = protocol.run_commitment_check(to, commitments, e_tot, r_tot,
-                                           len(tas), transcript)
+                                           transcript)
     assert result == "accept"
     protocol.honest_actuals(tas, codec)
     return tas, to, codec, transcript
@@ -73,7 +72,7 @@ def test_corrupted_commitment_rejected(full_key):
                                                         transcript)
     corrupted = [pedersen.commit(full_key, tas[0].E_n + 1, tas[0].r_n),
                  commitments[1]]
-    assert protocol.run_commitment_check(to, corrupted, e_tot, r_tot, 2,
+    assert protocol.run_commitment_check(to, corrupted, e_tot, r_tot,
                                          transcript) == "reject"
     assert to.stored_commitments is None
 
@@ -99,7 +98,7 @@ def test_out_of_range_actual_lands_in_t_m(full_key):
                                  force_reveal=True)
     assert report.t_m_list == {0}
     assert report.t_f_list == set()
-    plain = protocol.run_online_plain(tas, to, codec, Transcript(),
+    plain = protocol.run_online_plain(tas, codec, Transcript(),
                                       sigma_policy=lambda _f: 0.25)
     assert plain.t_m_list == {0}
 
@@ -113,8 +112,7 @@ def test_deviation_is_measured_on_decoded_kwh(full_key):
     protocol.store_forecasts(tas, codec, Transcript())
     tas[0].e_actual = -bound
     tas[1].e_actual = -bound
-    report = protocol.run_online_plain(tas, protocol.Operator(), codec,
-                                       Transcript(),
+    report = protocol.run_online_plain(tas, codec, Transcript(),
                                        sigma_policy=lambda _f: 2.0)
     assert report.t_m_list == {0}
 
@@ -205,8 +203,7 @@ def test_negotiation_secure_equals_plain(full_key):
     for secure in (True, False):
         tas = [protocol.TAgent(p, market.random_source(2, f"ta{p.index}"))
                for p in profiles]
-        to = protocol.Operator()
-        results.append(protocol.run_negotiation(tas, to, config, codec,
+        results.append(protocol.run_negotiation(tas, config, codec,
                                                 Transcript(), secure=secure))
     assert results[0] == results[1]
     reference = market.central_clearing(profiles, config, quantize=codec)
@@ -218,30 +215,9 @@ def test_worst_case_negotiation_runs_full_cap(full_key):
     config = market.MarketConfig(varsigma=7)
     codec = sharing.FixedPointCodec(sharing.NEGOTIATION_MODULUS, 10_000)
     tas = _make_tas([0.0, -0.0])
-    to = protocol.Operator()
-    _, k, status = protocol.run_negotiation(tas, to, config, codec,
+    _, k, status = protocol.run_negotiation(tas, config, codec,
                                             Transcript(), worst_case=True)
     assert (k, status) == (7, market.ITERATION_CAP)
-
-
-def test_transcript_messages_sum_to_counters(full_key):
-    codec = _slot_codec(full_key)
-    transcript = Transcript(record_messages=True)
-    tas = _make_tas([3.0, 1.0, -4.0])
-    protocol.store_forecasts(tas, codec, transcript)
-    to = protocol.Operator(ck=full_key)
-    commitments, e_tot, r_tot = protocol.run_commitment(tas, to, codec,
-                                                        transcript)
-    protocol.run_commitment_check(to, commitments, e_tot, r_tot, 3,
-                                  transcript)
-    protocol.honest_actuals(tas, codec)
-    protocol.run_online(tas, to, codec, transcript, beta=0.1,
-                        sigma_policy=SIGMA, force_reveal=True)
-    by_key = defaultdict(int)
-    for msg in transcript.messages:
-        by_key[(msg.sender, msg.phase)] += msg.bits
-    assert {k: v for k, v in by_key.items() if v} == \
-        {k: v for k, v in transcript.traffic_bits.items() if v}
 
 
 def test_share_view_reveals_nothing_about_secret():
