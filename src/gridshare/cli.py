@@ -31,13 +31,12 @@ def _add_scenario_args(parser):
     parser.add_argument("--mr-rounds", type=int)
     parser.add_argument("--worst-case", action="store_true", default=None)
     parser.add_argument("--force-reveal", action="store_true", default=None)
-    parser.add_argument("--faithful-keygen", action="store_true", default=None)
     _add_seed_args(parser)
 
 
 def build_config(args):
     if getattr(args, "scenario", None):
-        with open(args.scenario) as fh:
+        with open(args.scenario, encoding="utf-8") as fh:
             config = harness.parse_scenario_file(fh.read())
     else:
         config = harness.ScenarioConfig()
@@ -47,8 +46,6 @@ def build_config(args):
         value = getattr(args, fld.name, None)
         if value is not None:
             overrides[fld.name] = value
-    if getattr(args, "faithful_keygen", None):
-        overrides["keygen_mode"] = "faithful"
     return dataclasses.replace(config, **overrides)
 
 
@@ -138,9 +135,8 @@ def cmd_compare(args):
 
 def cmd_keygen(args):
     rng = market.random_source(args.seed, "keygen")
-    mode = "faithful" if args.faithful_keygen else "fast"
     ck = numtheory.generate_group_params(args.bits_p, args.bits_b, rng,
-                                         mode=mode, rounds=args.mr_rounds)
+                                         rounds=args.mr_rounds)
     text = ck.serialize()
     if args.out:
         with open(args.out, "w") as fh:
@@ -184,13 +180,13 @@ def build_parser():
     _add_scenario_args(p)
     p.set_defaults(func=cmd_compare)
 
+    # A bare keygen writes the key that a default run generates.
+    defaults = harness.ScenarioConfig()
     p = sub.add_parser("keygen", help="generate and print a commitment key")
-    p.add_argument("--bits-p", type=int, default=20)
-    p.add_argument("--bits-b", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=2)
-    p.add_argument("--mr-rounds", type=int,
-                   default=numtheory.DEFAULT_MR_ROUNDS)
-    p.add_argument("--faithful-keygen", action="store_true")
+    p.add_argument("--bits-p", type=int, default=defaults.bits_p)
+    p.add_argument("--bits-b", type=int, default=defaults.bits_b)
+    p.add_argument("--seed", type=int, default=defaults.seed_crypto)
+    p.add_argument("--mr-rounds", type=int, default=defaults.mr_rounds)
     p.add_argument("--out")
     p.set_defaults(func=cmd_keygen)
     return parser
@@ -198,9 +194,11 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # A file that cannot be read or written is a bad argument too; exit
+    # status 1 stays reserved for detection misses and price mismatches.
     try:
         return args.func(args)
-    except GridShareError as exc:
+    except (GridShareError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,14 +36,13 @@ class ScenarioConfig:
     sigma_frac: float = 0.05
     sigma_floor: float = 0.1
     mode: str = "secure"               # secure | plain
-    keygen_mode: str = "fast"          # faithful | fast
+    keygen_mode: str = "fast"          # fast, the only key generation
     mr_rounds: int = numtheory.DEFAULT_MR_ROUNDS
     seed_profiles: int = 1
     seed_crypto: int = 2
     seed_adversary: int = 3
     worst_case: bool = False           # run negotiation for all varsigma rounds
     force_reveal: bool = False         # exercise the online reveal branch
-    balance_constrained: bool = False
     adversary: object = None           # AdversaryScenario or list of them
 
     def market_config(self):
@@ -66,7 +65,7 @@ def validate_config(config):
         raise InvalidConfigError("scale must be >= 1")
     if c.mode not in ("secure", "plain"):
         raise InvalidConfigError(f"unknown mode {c.mode!r}")
-    if c.keygen_mode not in ("faithful", "fast"):
+    if c.keygen_mode != "fast":
         raise InvalidConfigError(f"unknown keygen mode {c.keygen_mode!r}")
     for name in ("zeta", "epsilon", "gamma_init", "beta", "sigma_frac",
                  "sigma_floor"):
@@ -88,13 +87,11 @@ def validate_config(config):
                 "plain slots have no reveal and no r_n; an adversary there "
                 "can only target e_n")
     # Worst-case group order for the requested size; individual encoded
-    # trades must fit its centered range unless the scenario promises a
-    # balance-constrained aggregate.
-    min_half_order = 1 << (c.bits_p - 2)
-    if c.scale * MAX_TRADE_KWH >= min_half_order and not c.balance_constrained:
+    # trades must fit its centered range.
+    if c.scale * MAX_TRADE_KWH >= 1 << (c.bits_p - 2):
         raise InvalidConfigError(
             f"scale {c.scale} cannot represent {MAX_TRADE_KWH} kWh in a "
-            f"{c.bits_p}-bit field; set balance_constrained to override")
+            f"{c.bits_p}-bit field")
     return config
 
 
@@ -327,6 +324,8 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
     validate_config(base_config)
     if not 0 <= n_targets <= base_config.n_tas:
         raise InvalidConfigError(f"need 0 <= n_targets <= {base_config.n_tas}")
+    if n_runs < 1:
+        raise InvalidConfigError(f"need n_runs >= 1, got {n_runs}")
     sigma_frac = perturb_range[0] / 2
     n_e_targets = (n_targets + 2) // 3
     # Half the guaranteed aggregate shift from the actual-meter targets;

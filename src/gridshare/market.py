@@ -182,8 +182,7 @@ def central_clearing(profiles, config, quantize=None, worst_case=False):
             if quantize is None:
                 total += signed_trade(st)
             else:
-                quantized_sum += quantize.encode(signed_trade(st),
-                                                check_range=False)
+                quantized_sum += quantize.encode(signed_trade(st))
         if quantize is not None:
             total = quantize.decode(quantized_sum)
         gamma_new = update_price(gamma, config.zeta, total)

@@ -78,19 +78,18 @@ def _random_prime(bits, rng, rounds):
             return cand
 
 
-def gen_prime_pair(bits_p, bits_b, rng, rounds=DEFAULT_MR_ROUNDS,
-                   max_p_attempts=50):
+def gen_prime_pair(bits_p, bits_b, rng, rounds=DEFAULT_MR_ROUNDS):
     """Find primes (p, q) with q = b*p + 1 and a random cofactor b.
 
     p has exactly bits_p bits and q exactly bits_p + bits_b bits (b is
     resampled until the product lands on the target length, which keeps
-    downstream size accounting deterministic). The search fixes p first
-    and resamples b up to 10*bits_b times before giving up on that p.
+    downstream size accounting deterministic). The search draws up to 50
+    primes p and resamples b up to 10*bits_b times for each.
     """
     if bits_p < 8 or bits_b < 8:
         raise InvalidParametersError("bits_p and bits_b must each be >= 8")
     bits_q = bits_p + bits_b
-    for _ in range(max_p_attempts):
+    for _ in range(50):
         p = _random_prime(bits_p, rng, rounds)
         for _ in range(10 * bits_b):
             b = rng.getrandbits(bits_b) | (1 << (bits_b - 1))
@@ -101,57 +100,6 @@ def gen_prime_pair(bits_p, bits_b, rng, rounds=DEFAULT_MR_ROUNDS,
                 return p, q, b
     raise GenerationFailureError(
         f"no prime pair found for bits_p={bits_p}, bits_b={bits_b}")
-
-
-class Group:
-    """The order-p subgroup of Z_q*, materialized or sampled.
-
-    `faithful` mode enumerates i^b mod q for i = 1..p and checks that
-    exactly p distinct elements appear. `fast` mode only exposes a
-    sampler that maps random i in Z_q\\{0} through i^b mod q.
-    """
-
-    def __init__(self, p, q, b, mode="fast"):
-        if b * p + 1 != q:
-            raise InvalidParametersError("q != b*p + 1")
-        if mode not in ("faithful", "fast"):
-            raise InvalidParametersError(f"unknown group mode {mode!r}")
-        self.p = p
-        self.q = q
-        self.b = b
-        self.mode = mode
-        self.elements = None
-        if mode == "faithful":
-            elems = {pow(i, b, q) for i in range(1, p + 1)}
-            if len(elems) != p:
-                raise InvalidParametersError(
-                    f"enumeration found {len(elems)} elements, expected {p}")
-            self.elements = elems
-            self._ordered = sorted(elems)
-
-    def sample(self, rng):
-        if self.elements is not None:
-            return rng.choice(self._ordered)
-        i = rng.randrange(1, self.q)
-        return pow(i, self.b, self.q)
-
-    def contains(self, x):
-        return 0 < x < self.q and pow(x, self.p, self.q) == 1
-
-
-def pick_generators(group, rng):
-    """Draw two distinct non-identity elements; both generate the group
-    since its order is prime."""
-    if group.p < 3:
-        raise InvalidParametersError(
-            "group too small to pick two distinct non-identity elements")
-    g = 1
-    while g == 1:
-        g = group.sample(rng)
-    h = 1
-    while h == 1 or h == g:
-        h = group.sample(rng)
-    return g, h
 
 
 @dataclass(frozen=True)
@@ -220,10 +168,18 @@ class GroupParams:
         return cls(**{k: fields[k] for k in ("q", "p", "b", "g", "h")})
 
 
-def generate_group_params(bits_p, bits_b, rng, mode="fast",
-                          rounds=DEFAULT_MR_ROUNDS):
-    """Full key generation: prime pair, subgroup, two generators."""
+def generate_group_params(bits_p, bits_b, rng, rounds=DEFAULT_MR_ROUNDS):
+    """Full key generation: a prime pair, then g and h drawn as i^b mod q
+    for uniform i in Z_q*, which is uniform over the order-p subgroup.
+
+    Any non-identity element generates that subgroup, since its order is
+    prime; g and h are redrawn until both differ from 1 and each other.
+    """
     p, q, b = gen_prime_pair(bits_p, bits_b, rng, rounds=rounds)
-    group = Group(p, q, b, mode=mode)
-    g, h = pick_generators(group, rng)
+    g = 1
+    while g == 1:
+        g = pow(rng.randrange(1, q), b, q)
+    h = 1
+    while h in (1, g):
+        h = pow(rng.randrange(1, q), b, q)
     return GroupParams(q=q, p=p, b=b, g=g, h=h)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import market, numtheory, pedersen, sharing
-from .errors import LifecycleError
+from .errors import InvalidParametersError, LifecycleError
 from .transport import (
     ACCEPT_NOTIFY,
     AGGREGATE_SUBMIT,
@@ -47,7 +47,6 @@ class AdversaryScenario:
     target_field: str
     perturb_lo: float = 0.05
     perturb_hi: float = 0.10
-    positive_only: bool = True
 
     def __post_init__(self):
         if self.target_field not in ADVERSARY_FIELDS:
@@ -128,8 +127,7 @@ def run_negotiation(tas, config, codec, transcript, secure=True,
         trades = []
         for ta in tas:
             market.agent_step(ta.state, gamma, config.zeta)
-            trades.append(codec.encode(market.signed_trade(ta.state),
-                                       check_range=False))
+            trades.append(codec.encode(market.signed_trade(ta.state)))
         if secure:
             total_enc = _share_round(tas, trades, codec.modulus, transcript,
                                      phase)
@@ -167,9 +165,11 @@ def store_forecasts(tas, slot_codec, transcript):
 
 def run_keygen(bits_p, bits_b, rng, transcript, mode="fast",
                rounds=numtheory.DEFAULT_MR_ROUNDS):
-    """Operator-side commitment key generation and broadcast."""
-    ck = numtheory.generate_group_params(bits_p, bits_b, rng, mode=mode,
-                                         rounds=rounds)
+    """Operator-side commitment key generation and broadcast. `mode`
+    accepts only "fast", the one key generation there is."""
+    if mode != "fast":
+        raise InvalidParametersError(f"unknown keygen mode {mode!r}")
+    ck = numtheory.generate_group_params(bits_p, bits_b, rng, rounds=rounds)
     log_key_broadcast(ck, transcript)
     return ck
 
@@ -329,10 +329,7 @@ def apply_adversary(scenarios, tas, slot_codec, rng):
     for sc in as_scenarios(scenarios):
         for idx in sc.target_indices:
             ta = by_index[idx]
-            delta = rng.uniform(sc.perturb_lo, sc.perturb_hi)
-            if not sc.positive_only and rng.random() < 0.5:
-                delta = -delta
-            factor = 1.0 + delta
+            factor = 1.0 + rng.uniform(sc.perturb_lo, sc.perturb_hi)
             if sc.target_field == E_FIELD:
                 honest = ta.e_actual
                 ta.e_actual = honest * factor

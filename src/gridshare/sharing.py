@@ -45,19 +45,19 @@ class FixedPointCodec:
         """Largest |x| with a faithful round trip."""
         return (self.modulus - 1) // (2 * self.scale)
 
-    def encode(self, x, check_range=True):
+    def encode(self, x):
         """round(x*scale) mod p, rounding half away from zero.
 
-        With check_range=False the value may wrap; only sums whose true
-        magnitude stays under p/2 decode meaningfully afterwards.
-        Non-finite values never encode.
+        Raises EncodingRangeError for a value beyond max_magnitude and for
+        a non-finite one. Over NEGOTIATION_MODULUS that bound is about
+        9.2e14 kWh, so negotiation trades always encode.
         """
         scaled = x * self.scale
         try:
             m = int(abs(scaled) + 0.5)
         except (ValueError, OverflowError):     # NaN, +-inf
             raise EncodingRangeError(f"cannot encode {x!r}") from None
-        if check_range and 2 * m >= self.modulus:
+        if 2 * m >= self.modulus:
             raise EncodingRangeError(
                 f"|{x}| * {self.scale} exceeds the centered range of "
                 f"modulus {self.modulus}")

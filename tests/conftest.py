@@ -20,7 +20,7 @@ def toy_key():
 def full_key():
     """A full-size (bits_q = 1020) commitment key, generated once."""
     rng = random.Random("tests/full_key")
-    return numtheory.generate_group_params(20, 1000, rng, mode="fast",
+    return numtheory.generate_group_params(20, 1000, rng,
                                            rounds=TEST_MR_ROUNDS)
 
 

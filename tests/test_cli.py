@@ -1,6 +1,6 @@
 import csv
 
-from gridshare import cli, numtheory
+from gridshare import cli, harness, numtheory
 from tests.conftest import TEST_MR_ROUNDS
 
 MR = str(TEST_MR_ROUNDS)
@@ -92,3 +92,30 @@ def test_keygen_subcommand(tmp_path):
     key = numtheory.GroupParams.parse(out.read_text())
     key.validate(rounds=TEST_MR_ROUNDS)
     assert key.bits_p == 12
+
+
+def test_keygen_defaults_match_a_default_run():
+    # A bare keygen writes the key that a default run generates.
+    args = cli.build_parser().parse_args(["keygen"])
+    config = harness.ScenarioConfig()
+    assert (args.bits_p, args.bits_b, args.seed, args.mr_rounds) == (
+        config.bits_p, config.bits_b, config.seed_crypto, config.mr_rounds)
+
+
+def test_bad_paths_exit_2(tmp_path, capsys):
+    # Exit status 1 means a detection miss, so a path that cannot be read
+    # or written must end in "error:" and status 2, not a traceback.
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe n_tas = 4\n")
+    missing = tmp_path / "missing"
+    small = ["--n-tas", "4", "--varsigma", "10", "--mode", "plain"]
+    for argv in (["run", "--scenario", str(tmp_path / "absent.cfg")],
+                 ["run", "--scenario", str(tmp_path)],
+                 ["run", "--scenario", str(binary)],
+                 ["run", *small, "--out", str(missing / "run.csv")],
+                 ["sweep", "--axis", "n_tas", "--values", "4",
+                  "--repeats", "1", *small, "--out", str(missing / "s.csv")],
+                 ["keygen", "--bits-p", "12", "--bits-b", "12",
+                  "--mr-rounds", MR, "--out", str(missing / "key.txt")]):
+        assert cli.main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err

@@ -22,7 +22,8 @@ def _config(**overrides):
 def test_validate_rejects_bad_configs():
     for overrides in (dict(n_tas=7), dict(n_tas=0), dict(bits_p=4),
                       dict(scale=0), dict(mode="hybrid"),
-                      dict(keygen_mode="lazy"), dict(beta=-1.0),
+                      dict(keygen_mode="lazy"), dict(keygen_mode="faithful"),
+                      dict(beta=-1.0),
                       dict(zeta=0.0), dict(beta=float("nan")),
                       dict(zeta=float("inf")), dict(epsilon=float("nan")),
                       dict(gamma_init=float("inf")),
@@ -43,7 +44,6 @@ def test_validate_field_capacity_guard():
     # 20 kWh at scale 10^4 does not fit a 16-bit field.
     with pytest.raises(InvalidConfigError):
         harness.validate_config(_config(bits_p=16))
-    harness.validate_config(_config(bits_p=16, balance_constrained=True))
     harness.validate_config(_config(bits_p=16, scale=100))
 
 
@@ -71,7 +71,8 @@ def test_scenario_file_rejects_garbage():
     # Only beta, the one optional float, accepts "none".
     for text in ("n_tas", "frobnicate = 3", "n_tas = many",
                  "worst_case = maybe", "zeta = none", "sigma_frac = none",
-                 "n_tas = none", "worst_case = none"):
+                 "n_tas = none", "worst_case = none",
+                 "balance_constrained = true"):
         with pytest.raises(InvalidConfigError):
             harness.parse_scenario_file(text)
 
@@ -217,10 +218,10 @@ def test_detection_experiment_honest_baseline():
 
 
 def test_detection_experiment_rejects_impossible_targets():
-    for n_targets in (5, -1):
+    for n_targets, n_runs in ((5, 1), (-1, 1), (0, 0), (0, -1)):
         with pytest.raises(InvalidConfigError):
             harness.detection_experiment(_config(n_tas=4),
-                                         n_targets=n_targets, n_runs=1)
+                                         n_targets=n_targets, n_runs=n_runs)
 
 
 def test_config_is_frozen():

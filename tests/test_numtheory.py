@@ -79,49 +79,11 @@ def test_gen_prime_pair_rejects_tiny_sizes():
         numtheory.gen_prime_pair(3, 2, random.Random(0))
 
 
-def test_faithful_group_enumeration_toy():
-    group = numtheory.Group(5, 11, 2, mode="faithful")
-    assert group.elements == {1, 3, 4, 5, 9}
-    for x in group.elements:
-        assert pow(x, 5, 11) == 1
-
-
-def test_fast_and_faithful_membership_agree():
-    rng = random.Random(5)
-    faithful = numtheory.Group(5, 11, 2, mode="faithful")
-    fast = numtheory.Group(5, 11, 2, mode="fast")
-    for _ in range(1000):
-        x = fast.sample(rng)
-        assert x in faithful.elements
-        assert fast.contains(x)
-
-
-def test_fast_mode_samples_are_subgroup_members():
-    rng = random.Random(5)
-    p, q, b = numtheory.gen_prime_pair(12, 12, rng, rounds=TEST_MR_ROUNDS)
-    fast = numtheory.Group(p, q, b, mode="fast")
-    for _ in range(1000):
-        x = fast.sample(rng)
-        assert fast.contains(x)
-        assert pow(x, p, q) == 1
-
-
-def test_faithful_mode_rejects_short_enumeration():
-    # p=5, q=31, b=6: i^6 mod 31 for i=1..5 yields only {1, 2, 4, 16}.
-    with pytest.raises(InvalidParametersError):
-        numtheory.Group(5, 31, 6, mode="faithful")
-    with pytest.raises(InvalidParametersError):
-        numtheory.Group(5, 12, 2, mode="faithful")   # q != b*p + 1
-
-
-def test_pick_generators_are_subgroup_members():
-    group = numtheory.Group(5, 11, 2, mode="faithful")
-    rng = random.Random(6)
-    g, h = numtheory.pick_generators(group, rng)
-    assert g != h and g != 1 and h != 1
-    assert pow(g, 5, 11) == 1 and pow(h, 5, 11) == 1
-    again = numtheory.pick_generators(group, random.Random(6))
-    assert (g, h) == again
+def test_generated_generators_are_subgroup_members():
+    for seed in range(20):
+        ck = numtheory.generate_group_params(12, 12, random.Random(seed),
+                                             rounds=TEST_MR_ROUNDS)
+        ck.check_generators()
 
 
 def test_group_params_validate_and_serialize(toy_key):
@@ -130,6 +92,8 @@ def test_group_params_validate_and_serialize(toy_key):
     assert parsed == toy_key
     with pytest.raises(InvalidParametersError):
         numtheory.GroupParams(q=11, p=5, b=2, g=3, h=3).validate()
+    with pytest.raises(InvalidParametersError):
+        numtheory.GroupParams(q=12, p=5, b=2, g=3, h=4).validate()
 
 
 def test_group_params_parse_rejects_malformed_text(toy_key):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gridshare import harness, market, pedersen, protocol, sharing
-from gridshare.errors import LifecycleError
+from gridshare.errors import InvalidParametersError, LifecycleError
 from gridshare.transport import Transcript
 
 SCALE = 1000
@@ -193,6 +193,12 @@ def test_lifecycle_errors(full_key):
     with pytest.raises(LifecycleError):
         protocol.run_online(tas, to, codec, transcript, beta=0.1,
                             sigma_policy=SIGMA)
+
+
+def test_run_keygen_accepts_only_fast_mode():
+    with pytest.raises(InvalidParametersError):
+        protocol.run_keygen(12, 12, random.Random(0), Transcript(),
+                            mode="lazy")
 
 
 def test_negotiation_secure_equals_plain(full_key):

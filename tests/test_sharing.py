@@ -43,15 +43,13 @@ def test_encode_range_check():
     codec = sharing.FixedPointCodec(101, 1)
     with pytest.raises(EncodingRangeError):
         codec.encode(51)
-    assert codec.encode(51, check_range=False) == 51   # wraps knowingly
 
 
 def test_encode_rejects_non_finite():
     codec = sharing.FixedPointCodec((1 << 20) + 7, 10_000)
     for x in (float("nan"), float("inf"), float("-inf")):
-        for check_range in (True, False):
-            with pytest.raises(EncodingRangeError):
-                codec.encode(x, check_range=check_range)
+        with pytest.raises(EncodingRangeError):
+            codec.encode(x)
 
 
 def test_split_forced_randomness():
