@@ -79,11 +79,26 @@ def test_gen_prime_pair_rejects_tiny_sizes():
         numtheory.gen_prime_pair(3, 2, random.Random(0))
 
 
-def test_generated_generators_are_subgroup_members():
+def test_fast_mode_samples_are_subgroup_members():
+    # g and h are drawn as i^b mod q for uniform i in Z_q*; each draw must
+    # land in the order-p subgroup.
     for seed in range(20):
         ck = numtheory.generate_group_params(12, 12, random.Random(seed),
                                              rounds=TEST_MR_ROUNDS)
+        assert pow(ck.g, ck.p, ck.q) == 1
+        assert pow(ck.h, ck.p, ck.q) == 1
         ck.check_generators()
+
+
+def test_pick_generators_are_subgroup_members():
+    ck = numtheory.generate_group_params(12, 12, random.Random(6),
+                                         rounds=TEST_MR_ROUNDS)
+    g, h = ck.g, ck.h
+    assert g != h and g != 1 and h != 1
+    assert pow(g, ck.p, ck.q) == 1 and pow(h, ck.p, ck.q) == 1
+    again = numtheory.generate_group_params(12, 12, random.Random(6),
+                                            rounds=TEST_MR_ROUNDS)
+    assert (g, h) == (again.g, again.h)
 
 
 def test_group_params_validate_and_serialize(toy_key):
