@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import sys
 
 from . import harness, market, numtheory
 from .errors import GridShareError, InvalidConfigError
-from .transport import PHASES
 
 
 def _add_seed_args(parser):
@@ -59,32 +59,33 @@ def _print_report(report):
               f"t_m={sorted(d.t_m_list)} t_f={sorted(d.t_f_list)}")
     print(f"{'phase':<17}{'entity':<8}{'seconds':>10}"
           f"{'traffic_kb':>12}{'storage_kb':>12}")
-    for phase, entity, sec, tkb, skb in _report_rows(report):
-        print(f"{phase:<17}{entity:<8}{sec:>10.4f}{tkb:>12.6f}{skb:>12.6f}")
+    for row in harness.phase_rows(report):
+        print("{phase:<17}{entity:<8}{seconds:>10.4f}{traffic_kb:>12.6f}"
+              "{storage_kb:>12.6f}".format(**row))
 
 
-def _report_rows(report):
-    for phase in PHASES:
-        sec = report.timings.get(phase, 0.0)
-        for entity in ("TA", "TO"):
-            yield (phase, entity, sec, report.traffic_kb[phase][entity],
-                   report.storage_kb[phase][entity])
+def _open_out(path):
+    """Open `--out` before any work, so a bad path costs nothing; a run
+    that fails after this leaves the file empty."""
+    return open(path, "w", newline="") if path else contextlib.nullcontext()
 
 
-def _write_report_csv(report, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["phase", "entity", "seconds", "traffic_kb",
-                         "storage_kb"])
-        writer.writerows(_report_rows(report))
+def _write_csv(fh, rows):
+    """Write dict rows under a header of the first row's keys."""
+    rows = list(rows)
+    writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 def cmd_run(args):
-    report = harness.run_scenario(build_config(args))
-    _print_report(report)
-    if args.out:
-        _write_report_csv(report, args.out)
-        print(f"wrote {args.out}")
+    config = build_config(args)
+    with _open_out(args.out) as fh:
+        report = harness.run_scenario(config)
+        _print_report(report)
+        if fh:
+            _write_csv(fh, harness.phase_rows(report))
+            print(f"wrote {args.out}")
     return 0
 
 
@@ -95,22 +96,16 @@ def cmd_sweep(args):
     except ValueError:
         raise InvalidConfigError(
             f"--values must be integers, got {args.values!r}") from None
-    rows = harness.sweep(config, args.axis, values, repeats=args.repeats)
-    harness.write_sweep_csv(rows, args.out)
+    with _open_out(args.out) as fh:
+        rows = harness.sweep(config, args.axis, values, repeats=args.repeats)
+        _write_csv(fh, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def cmd_detect(args):
-    config = build_config(args)
-    # The experiment runs secure slots and decides reveals by its own
-    # audit rule, so these settings would be silently ignored.
-    if config.mode != "secure" or config.force_reveal:
-        raise InvalidConfigError(
-            "detect runs secure slots with its own reveal rule; "
-            "--mode plain and --force-reveal do not apply")
     summary = harness.detection_experiment(
-        config, n_targets=args.targets, n_runs=args.runs)
+        build_config(args), n_targets=args.targets, n_runs=args.runs)
     print(f"runs: {summary.runs}, targets per run: {summary.targets_per_run}")
     print(f"true positives: {summary.true_positives}")
     print(f"false negatives: {summary.false_negatives}")
@@ -125,25 +120,25 @@ def cmd_compare(args):
     report = harness.compare_baseline(build_config(args))
     print(f"{'mode':<8}{'ta_traffic_kb':>15}{'to_traffic_kb':>15}"
           f"{'to_storage_kb':>15}{'clearing_price':>16}")
-    for row in report.rows():
-        print(f"{row['mode']:<8}{row['ta_traffic_kb']:>15.6f}"
-              f"{row['to_traffic_kb']:>15.6f}{row['to_storage_kb']:>15.6f}"
-              f"{row['clearing_price']:>16.6f}")
+    for mode, rep in (("secure", report.secure), ("plain", report.plain)):
+        print(f"{mode:<8}{rep.total_traffic_kb('TA'):>15.6f}"
+              f"{rep.total_traffic_kb('TO'):>15.6f}"
+              f"{rep.total_storage_kb('TO'):>15.6f}"
+              f"{rep.clearing_price:>16.6f}")
     print(f"prices equal: {report.prices_equal}")
     return 0 if report.prices_equal else 1
 
 
 def cmd_keygen(args):
     rng = market.random_source(args.seed, "keygen")
-    ck = numtheory.generate_group_params(args.bits_p, args.bits_b, rng,
-                                         rounds=args.mr_rounds)
-    text = ck.serialize()
-    if args.out:
-        with open(args.out, "w") as fh:
+    with _open_out(args.out) as fh:
+        text = numtheory.generate_group_params(
+            args.bits_p, args.bits_b, rng, rounds=args.mr_rounds).serialize()
+        if fh:
             fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+            print(f"wrote {args.out}")
+        else:
+            print(text, end="")
     return 0
 
 
@@ -160,8 +155,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="scale one axis and record metrics")
     _add_scenario_args(p)
-    p.add_argument("--axis", required=True,
-                   choices=["n_tas", "bits_q", "bits_p"])
+    p.add_argument("--axis", required=True, choices=list(harness.SWEEP_AXES))
     p.add_argument("--values", required=True,
                    help="comma-separated axis values")
     p.add_argument("--repeats", type=int, default=5,

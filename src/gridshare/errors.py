@@ -5,10 +5,6 @@ class GridShareError(Exception):
     """Base class for all gridshare errors."""
 
 
-class InvalidModulusError(GridShareError):
-    """Modular operation requested with a modulus < 2."""
-
-
 class GenerationFailureError(GridShareError):
     """Prime-pair search exceeded its attempt budget."""
 

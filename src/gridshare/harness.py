@@ -4,7 +4,6 @@ suite (traffic tables, baseline comparison, detection accuracy, sweeps)."""
 from __future__ import annotations
 
 import contextlib
-import csv
 import math
 import statistics
 import time
@@ -67,8 +66,7 @@ def validate_config(config):
         raise InvalidConfigError(f"unknown mode {c.mode!r}")
     if c.keygen_mode != "fast":
         raise InvalidConfigError(f"unknown keygen mode {c.keygen_mode!r}")
-    for name in ("zeta", "epsilon", "gamma_init", "beta", "sigma_frac",
-                 "sigma_floor"):
+    for name in ("beta", "sigma_frac", "sigma_floor"):
         value = getattr(c, name)
         if value is not None and not math.isfinite(value):
             raise InvalidConfigError(f"{name} must be finite, got {value!r}")
@@ -76,7 +74,7 @@ def validate_config(config):
         raise InvalidConfigError("beta must be >= 0")
     if c.sigma_frac < 0 or c.sigma_floor < 0:
         raise InvalidConfigError("sigma_frac and sigma_floor must be >= 0")
-    c.market_config()   # raises on bad zeta/epsilon/varsigma
+    c.market_config()   # raises on bad zeta/epsilon/varsigma/gamma_init
     for sc in protocol.as_scenarios(c.adversary):
         if any(i not in range(c.n_tas) for i in sc.target_indices):
             raise InvalidConfigError(
@@ -115,6 +113,17 @@ class RunReport:
 
     def total_storage_kb(self, entity):
         return sum(self.storage_kb[ph][entity] for ph in PHASES)
+
+
+def phase_rows(report):
+    """The per-phase table that `run` prints and writes and `sweep`
+    repeats per axis value: one row per phase and entity class."""
+    for phase in PHASES:
+        for entity in ("TA", "TO"):
+            yield {"phase": phase, "entity": entity,
+                   "seconds": report.timings[phase],
+                   "traffic_kb": report.traffic_kb[phase][entity],
+                   "storage_kb": report.storage_kb[phase][entity]}
 
 
 def measure_sizes(transcript, n_tas):
@@ -261,18 +270,6 @@ class ComparisonReport:
     plain: RunReport
     prices_equal: bool
 
-    def rows(self):
-        out = []
-        for label, rep in (("secure", self.secure), ("plain", self.plain)):
-            out.append({
-                "mode": label,
-                "ta_traffic_kb": rep.total_traffic_kb("TA"),
-                "to_traffic_kb": rep.total_traffic_kb("TO"),
-                "to_storage_kb": rep.total_storage_kb("TO"),
-                "clearing_price": rep.clearing_price,
-            })
-        return out
-
 
 def compare_baseline(config):
     """Run secure and plain with identical seeds; price equality is
@@ -321,11 +318,16 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
     with a non-negligible trade, since scaling a zero value changes
     nothing observable.
     """
-    validate_config(base_config)
+    if base_config.mode != "secure" or base_config.force_reveal:
+        raise InvalidConfigError(
+            "the detection experiment runs secure slots with its own reveal "
+            "rule; plain mode and force_reveal do not apply")
     if not 0 <= n_targets <= base_config.n_tas:
         raise InvalidConfigError(f"need 0 <= n_targets <= {base_config.n_tas}")
     if n_runs < 1:
         raise InvalidConfigError(f"need n_runs >= 1, got {n_runs}")
+    # The adversary's own check on the range, before the slot head runs.
+    protocol.AdversaryScenario((), protocol.E_FIELD, *perturb_range)
     sigma_frac = perturb_range[0] / 2
     n_e_targets = (n_targets + 2) // 3
     # Half the guaranteed aggregate shift from the actual-meter targets;
@@ -335,8 +337,8 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
         beta = n_e_targets * perturb_range[0] * DETECT_MIN_TRADE_KWH / 2
     else:
         beta = DETECT_HONEST_BETA_KWH
-    base = replace(base_config, mode="secure", sigma_frac=sigma_frac,
-                   sigma_floor=0.0, beta=beta)
+    base = validate_config(replace(base_config, sigma_frac=sigma_frac,
+                                   sigma_floor=0.0, beta=beta))
 
     head = RunReport(config=base, transcript=Transcript())
     tas0, _, slot_codec = _run_head(head)
@@ -407,10 +409,20 @@ def _audit_reveal_side(effective):
     return bool(effective) and protocol.E_FIELD not in effective.values()
 
 
+# Sweep axes in `--axis` order, each mapping an axis value onto the
+# config it runs; bits_q = bits_p + bits_b.
+SWEEP_AXES = {
+    "n_tas": lambda c, value: replace(c, n_tas=value),
+    "bits_q": lambda c, value: replace(c, bits_b=value - c.bits_p),
+    "bits_p": lambda c, value: replace(c, bits_p=value),
+}
+
+
 def sweep(config, axis, values, repeats=1):
-    """One scenario per axis value with otherwise fixed seeds; yields
-    rows keyed by (axis_value, phase, entity)."""
-    if axis not in ("n_tas", "bits_q", "bits_p"):
+    """One scenario per axis value with otherwise fixed seeds: the
+    `phase_rows` of each value behind an `axis_value` column, with the
+    median seconds over `repeats` runs."""
+    if axis not in SWEEP_AXES:
         raise InvalidConfigError(f"unknown sweep axis {axis!r}")
     if not values:
         raise InvalidConfigError("sweep needs at least one value")
@@ -418,38 +430,13 @@ def sweep(config, axis, values, repeats=1):
         raise InvalidConfigError("sweep needs repeats >= 1")
     rows = []
     for value in values:
-        if axis == "n_tas":
-            cfg = replace(config, n_tas=int(value))
-        elif axis == "bits_p":
-            cfg = replace(config, bits_p=int(value))
-        else:   # bits_q = bits_p + bits_b
-            cfg = replace(config, bits_b=int(value) - config.bits_p)
+        cfg = SWEEP_AXES[axis](config, int(value))
         reports = [run_scenario(cfg) for _ in range(repeats)]
-        rep = reports[0]
-        for phase in PHASES:
-            seconds = statistics.median(r.timings.get(phase, 0.0)
-                                        for r in reports)
-            for entity in ("TA", "TO"):
-                rows.append({
-                    "axis_value": value,
-                    "phase": phase,
-                    "entity": entity,
-                    "seconds": seconds,
-                    "traffic_kb": rep.traffic_kb[phase][entity],
-                    "storage_kb": rep.storage_kb[phase][entity],
-                })
+        for repeated in zip(*map(phase_rows, reports)):
+            row = {"axis_value": value, **repeated[0]}
+            row["seconds"] = statistics.median(r["seconds"] for r in repeated)
+            rows.append(row)
     return rows
-
-
-SWEEP_FIELDNAMES = ["axis_value", "phase", "entity", "seconds",
-                    "traffic_kb", "storage_kb"]
-
-
-def write_sweep_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SWEEP_FIELDNAMES)
-        writer.writeheader()
-        writer.writerows(rows)
 
 
 _BOOL_VALUES = {"true": True, "1": True, "yes": True,

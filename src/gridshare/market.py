@@ -9,6 +9,7 @@ the price iteration has a stable root.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -53,9 +54,12 @@ class MarketConfig:
     gamma_init: float = 10.0
 
     def __post_init__(self):
-        if self.zeta <= 0 or self.epsilon <= 0 or self.varsigma < 1:
+        # NaN fails every comparison, so it lands in the error branch.
+        if not (0 < self.zeta < math.inf and 0 < self.epsilon < math.inf
+                and math.isfinite(self.gamma_init) and self.varsigma >= 1):
             raise InvalidConfigError(
-                "require zeta > 0, epsilon > 0, varsigma >= 1")
+                "require finite zeta > 0, epsilon > 0 and gamma_init, "
+                "and varsigma >= 1")
 
 
 @dataclass

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from .errors import (
     GenerationFailureError,
     InvalidKeyError,
-    InvalidModulusError,
     InvalidParametersError,
 )
 
@@ -23,15 +22,6 @@ DEFAULT_MR_ROUNDS = 64
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107,
                  109, 113, 127, 131, 137, 139, 149, 151, 157, 163, 167, 173]
-
-
-def mod_pow(base, exponent, modulus):
-    """base**exponent mod modulus, canonical representative in [0, modulus)."""
-    if modulus < 2:
-        raise InvalidModulusError(f"modulus must be >= 2, got {modulus}")
-    if exponent < 0:
-        raise InvalidParametersError("negative exponents are not supported")
-    return pow(base % modulus, exponent, modulus)
 
 
 def is_probable_prime(n, rounds=DEFAULT_MR_ROUNDS, rng=None):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import market, numtheory, pedersen, sharing
-from .errors import InvalidParametersError, LifecycleError
+from .errors import InvalidConfigError, InvalidParametersError, LifecycleError
 from .transport import (
     ACCEPT_NOTIFY,
     AGGREGATE_SUBMIT,
@@ -50,9 +50,10 @@ class AdversaryScenario:
 
     def __post_init__(self):
         if self.target_field not in ADVERSARY_FIELDS:
-            raise ValueError(f"unknown target field {self.target_field!r}")
+            raise InvalidConfigError(
+                f"unknown target field {self.target_field!r}")
         if not 0 <= self.perturb_lo <= self.perturb_hi:
-            raise ValueError("need 0 <= perturb_lo <= perturb_hi")
+            raise InvalidConfigError("need 0 <= perturb_lo <= perturb_hi")
 
 
 @dataclass

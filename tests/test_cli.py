@@ -14,6 +14,8 @@ def test_run_subcommand(tmp_path, capsys):
     assert "clearing price" in capsys.readouterr().out
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["phase", "entity", "seconds", "traffic_kb",
+                             "storage_kb"]
     assert {r["phase"] for r in rows} == {"negotiation", "keygen",
                                           "commitment", "commitment_check",
                                           "online"}
@@ -52,6 +54,8 @@ def test_sweep_subcommand(tmp_path):
     assert code == 0
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["axis_value", "phase", "entity", "seconds",
+                             "traffic_kb", "storage_kb"]
     assert {r["axis_value"] for r in rows} == {"4", "6"}
 
 
@@ -104,7 +108,8 @@ def test_keygen_defaults_match_a_default_run():
 
 def test_bad_paths_exit_2(tmp_path, capsys):
     # Exit status 1 means a detection miss, so a path that cannot be read
-    # or written must end in "error:" and status 2, not a traceback.
+    # or written must end in "error:" and status 2, not a traceback. An
+    # --out path is opened first, so nothing runs or prints before that.
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"\xff\xfe n_tas = 4\n")
     missing = tmp_path / "missing"
@@ -118,4 +123,6 @@ def test_bad_paths_exit_2(tmp_path, capsys):
                  ["keygen", "--bits-p", "12", "--bits-b", "12",
                   "--mr-rounds", MR, "--out", str(missing / "key.txt")]):
         assert cli.main(argv) == 2, argv
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == "", argv

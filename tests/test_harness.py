@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 
 import pytest
@@ -158,20 +157,18 @@ def test_key_reuse_skips_generation():
 def test_compare_baseline_prices_equal():
     report = harness.compare_baseline(_config())
     assert report.prices_equal
-    rows = report.rows()
-    assert rows[0]["ta_traffic_kb"] > rows[1]["ta_traffic_kb"]
+    assert report.secure.total_traffic_kb("TA") > \
+        report.plain.total_traffic_kb("TA")
+    assert report.secure.total_storage_kb("TO") > \
+        report.plain.total_storage_kb("TO")
 
 
-def test_sweep_axes_and_csv_schema(tmp_path):
+def test_sweep_axes_and_csv_schema():
     rows = harness.sweep(_config(varsigma=10), "n_tas", [4, 6])
     assert len(rows) == 2 * len(PHASES) * 2
     assert [r["phase"] for r in rows[:10:2]] == list(PHASES)
-    out = tmp_path / "sweep.csv"
-    harness.write_sweep_csv(rows, out)
-    with open(out, newline="") as fh:
-        parsed = list(csv.DictReader(fh))
-    assert list(parsed[0]) == harness.SWEEP_FIELDNAMES
-    assert len(parsed) == len(rows)
+    assert list(rows[0]) == ["axis_value", "phase", "entity", "seconds",
+                             "traffic_kb", "storage_kb"]
     with pytest.raises(InvalidConfigError):
         harness.sweep(_config(), "zeta", [0.1])
     with pytest.raises(InvalidConfigError):
@@ -199,6 +196,18 @@ def test_bits_q_sweep_scales_key_broadcast():
     assert keygen[220] == pytest.approx((3 * 220 + 20) / 8 / 1024)
 
 
+def test_bits_p_sweep_scales_key_broadcast():
+    # The key broadcast is 3*bits_q + bits_p bits, bits_q = bits_p + bits_b;
+    # a 16-bit field needs scale 100 to hold a 20 kWh trade.
+    config = _config(n_tas=4, varsigma=5, scale=100)
+    rows = harness.sweep(config, "bits_p", [16, 20])
+    keygen = {r["axis_value"]: r["traffic_kb"] for r in rows
+              if r["phase"] == "keygen" and r["entity"] == "TO"}
+    for bits_p in (16, 20):
+        key_bits = 3 * (bits_p + config.bits_b) + bits_p
+        assert keygen[bits_p] == pytest.approx(key_bits / 8 / 1024)
+
+
 def test_detection_experiment_small():
     summary = harness.detection_experiment(_config(n_tas=30), n_targets=6,
                                            n_runs=5)
@@ -222,6 +231,28 @@ def test_detection_experiment_rejects_impossible_targets():
         with pytest.raises(InvalidConfigError):
             harness.detection_experiment(_config(n_tas=4),
                                          n_targets=n_targets, n_runs=n_runs)
+
+
+def test_detection_experiment_rejects_bad_settings_before_the_head(
+        monkeypatch):
+    # Plain mode and force_reveal would be overridden by the experiment's
+    # own secure slots and audit rule; a bad perturbation range would
+    # surface only at the first run's adversary, after the slot head.
+    def no_head(*args):
+        raise AssertionError("slot head ran")
+
+    monkeypatch.setattr(harness, "_run_head", no_head)
+    for overrides, perturb_range in ((dict(mode="plain"), (0.05, 0.10)),
+                                     (dict(force_reveal=True), (0.05, 0.10)),
+                                     ({}, (-0.1, 0.1)), ({}, (0.1, 0.05))):
+        with pytest.raises(InvalidConfigError):
+            harness.detection_experiment(_config(n_tas=30, **overrides),
+                                         n_targets=3,
+                                         perturb_range=perturb_range,
+                                         n_runs=2)
+    for args in (((0,), "voltage"), ((0,), protocol.E_FIELD, 0.2, 0.1)):
+        with pytest.raises(InvalidConfigError):
+            protocol.AdversaryScenario(*args)
 
 
 def test_config_is_frozen():

@@ -110,6 +110,17 @@ def test_fixed_point_stationarity():
     assert result.energies == [0.0, 0.0]
 
 
+def test_market_config_rejects_bad_settings():
+    # Unchecked, a NaN zeta clears at price 0.0 as "converged" in 2 rounds.
+    nan, inf = float("nan"), float("inf")
+    for overrides in (dict(zeta=0.0), dict(epsilon=-1.0), dict(varsigma=0),
+                      dict(zeta=nan), dict(zeta=inf), dict(epsilon=nan),
+                      dict(epsilon=inf), dict(gamma_init=nan),
+                      dict(gamma_init=-inf)):
+        with pytest.raises(InvalidConfigError):
+            market.MarketConfig(**overrides)
+
+
 def test_central_clearing_iteration_cap():
     config = market.MarketConfig(varsigma=10)
     profiles = market.sample_profiles(10, random.Random(4))

@@ -3,32 +3,8 @@ import random
 import pytest
 
 from gridshare import numtheory
-from gridshare.errors import InvalidModulusError, InvalidParametersError
+from gridshare.errors import InvalidParametersError
 from tests.conftest import TEST_MR_ROUNDS
-
-
-def test_mod_pow_hand_values():
-    assert numtheory.mod_pow(3, 2, 11) == 9
-    assert numtheory.mod_pow(7, 0, 13) == 1
-    assert (numtheory.mod_pow(3, 3, 11) * numtheory.mod_pow(4, 4, 11)) % 11 == 4
-
-
-def test_mod_pow_matches_naive_multiplication():
-    rng = random.Random(0)
-    for _ in range(20):
-        modulus = rng.randrange(2, 1 << 16)
-        base = rng.randrange(modulus)
-        acc = 1 % modulus
-        for exponent in range(1 << 10):
-            assert numtheory.mod_pow(base, exponent, modulus) == acc
-            acc = (acc * base) % modulus
-
-
-def test_mod_pow_rejects_bad_inputs():
-    with pytest.raises(InvalidModulusError):
-        numtheory.mod_pow(2, 3, 1)
-    with pytest.raises(InvalidParametersError):
-        numtheory.mod_pow(2, -1, 7)
 
 
 def _is_prime_trial(n):
