@@ -27,10 +27,10 @@ class ScenarioConfig:
     bits_p: int = 20
     bits_b: int = 1000
     scale: int = sharing.DEFAULT_SCALE
-    zeta: float = 0.01
-    epsilon: float = 0.001
-    varsigma: int = 100
-    gamma_init: float = 10.0
+    zeta: float = market.MarketConfig.zeta
+    epsilon: float = market.MarketConfig.epsilon
+    varsigma: int = market.MarketConfig.varsigma
+    gamma_init: float = market.MarketConfig.gamma_init
     beta: float | None = None          # None -> sum(sigma)/2 after negotiation
     sigma_frac: float = 0.05
     sigma_floor: float = 0.1
@@ -42,7 +42,7 @@ class ScenarioConfig:
     seed_adversary: int = 3
     worst_case: bool = False           # run negotiation for all varsigma rounds
     force_reveal: bool = False         # exercise the online reveal branch
-    adversary: object = None           # AdversaryScenario or list of them
+    adversary: tuple[protocol.AdversaryScenario, ...] = ()  # applied in order
 
     def market_config(self):
         return market.MarketConfig(zeta=self.zeta, epsilon=self.epsilon,
@@ -75,7 +75,11 @@ def validate_config(config):
     if c.sigma_frac < 0 or c.sigma_floor < 0:
         raise InvalidConfigError("sigma_frac and sigma_floor must be >= 0")
     c.market_config()   # raises on bad zeta/epsilon/varsigma/gamma_init
-    for sc in protocol.as_scenarios(c.adversary):
+    if not (isinstance(c.adversary, tuple) and all(
+            isinstance(sc, protocol.AdversaryScenario) for sc in c.adversary)):
+        raise InvalidConfigError(
+            f"adversary must be a tuple of AdversaryScenario: {c.adversary!r}")
+    for sc in c.adversary:
         if any(i not in range(c.n_tas) for i in sc.target_indices):
             raise InvalidConfigError(
                 f"adversary targets {sc.target_indices} must be agent "
@@ -355,6 +359,10 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
             f"only {len(eligible)} agents trade >= {DETECT_MIN_TRADE_KWH} kWh; "
             f"cannot target {n_targets}")
 
+    # The e_n targets, then the others alternating E_n and r_n.
+    target_fields = ([protocol.E_FIELD] * n_e_targets
+                     + [protocol.FORECAST_FIELD, protocol.RANDOMNESS_FIELD]
+                     * n_targets)
     summary = DetectionSummary(runs=n_runs, targets_per_run=n_targets)
     expected_list = {protocol.E_FIELD: "t_m", protocol.FORECAST_FIELD: "t_f",
                      protocol.RANDOMNESS_FIELD: "t_f"}
@@ -367,17 +375,9 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
         e_targets = adv_rng.sample(eligible_pos, n_e_targets)
         others = adv_rng.sample([i for i in eligible if i not in e_targets],
                                 n_targets - n_e_targets)
-        scenarios = []
-        for idx in e_targets:
-            scenarios.append(protocol.AdversaryScenario(
-                target_indices=(idx,), target_field=protocol.E_FIELD,
-                perturb_lo=perturb_range[0], perturb_hi=perturb_range[1]))
-        for pos, idx in enumerate(others):
-            fld = (protocol.FORECAST_FIELD if pos % 2 == 0
-                   else protocol.RANDOMNESS_FIELD)
-            scenarios.append(protocol.AdversaryScenario(
-                target_indices=(idx,), target_field=fld,
-                perturb_lo=perturb_range[0], perturb_hi=perturb_range[1]))
+        scenarios = tuple(
+            protocol.AdversaryScenario((idx,), fld, *perturb_range)
+            for idx, fld in zip(e_targets + others, target_fields))
 
         slot = RunReport(config=base, transcript=Transcript())
         effective = _run_tail(slot, tas, protocol.Operator(ck=head.ck),

@@ -110,11 +110,6 @@ class GroupParams:
     def bits_p(self):
         return self.p.bit_length()
 
-    @property
-    def broadcast_bits(self):
-        # q, g, h each travel as bits_q-bit values, p as bits_p bits.
-        return 3 * self.bits_q + self.bits_p
-
     def check_generators(self):
         """g and h are distinct non-identity elements of order p."""
         for name, x in (("g", self.g), ("h", self.h)):

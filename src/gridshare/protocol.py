@@ -8,6 +8,7 @@ commitments to form the no-security baseline.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import market, numtheory, pedersen, sharing
@@ -52,8 +53,10 @@ class AdversaryScenario:
         if self.target_field not in ADVERSARY_FIELDS:
             raise InvalidConfigError(
                 f"unknown target field {self.target_field!r}")
-        if not 0 <= self.perturb_lo <= self.perturb_hi:
-            raise InvalidConfigError("need 0 <= perturb_lo <= perturb_hi")
+        # NaN fails every comparison, so it lands in the error branch.
+        if not 0 <= self.perturb_lo <= self.perturb_hi < math.inf:
+            raise InvalidConfigError(
+                "need finite 0 <= perturb_lo <= perturb_hi")
 
 
 @dataclass
@@ -176,9 +179,11 @@ def run_keygen(bits_p, bits_b, rng, transcript, mode="fast",
 
 
 def log_key_broadcast(ck, transcript):
-    """Account for broadcasting and storing an existing key."""
-    transcript.broadcast("keygen", KEY_BROADCAST, TO_ID, ck.broadcast_bits)
-    transcript.store(TO_ID, "keygen", ck.broadcast_bits)
+    """Account for broadcasting and storing an existing key: q, g and h
+    travel as bits_q-bit values, p as bits_p bits."""
+    bits = 3 * ck.bits_q + ck.bits_p
+    transcript.broadcast("keygen", KEY_BROADCAST, TO_ID, bits)
+    transcript.store(TO_ID, "keygen", bits)
 
 
 def run_commitment(tas, to, slot_codec, transcript):
@@ -197,8 +202,8 @@ def run_commitment(tas, to, slot_codec, transcript):
                            phase)
     r_total = _share_round(tas, [ta.r_n for ta in tas], ck.p, transcript,
                            phase)
-    for ta, c in zip(tas, commitments):
-        transcript.send(phase, COMMITMENT_SUBMIT, ta.id, TO_ID, c.bits)
+    for ta in tas:
+        transcript.send(phase, COMMITMENT_SUBMIT, ta.id, TO_ID, ck.bits_q)
         transcript.store(ta.id, phase, SCALAR_BITS)   # r_n kept for reveal
     # Aggregate submissions already counted inside the share rounds; the
     # operator now holds the combined openings and every commitment.
@@ -210,9 +215,8 @@ def run_commitment_check(to, commitments, e_total, r_total, transcript):
     commitments and the aggregate forecast."""
     phase = "commitment_check"
     ck = to.ck
-    combined = pedersen.product(commitments, ck)
-    recomputed = pedersen.commit(ck, e_total, r_total)
-    if combined.value == recomputed.value:
+    if pedersen.product(commitments, ck) == pedersen.commit(ck, e_total,
+                                                            r_total):
         to.stored_commitments = list(commitments)
         to.E_total = e_total
         transcript.store(TO_ID, phase,
@@ -311,23 +315,14 @@ def honest_actuals(tas, slot_codec):
         ta.e_actual = slot_codec.decode(ta.E_n)
 
 
-def as_scenarios(adversary):
-    """An adversary setting (None, one AdversaryScenario or a list of
-    them) as a list of scenarios."""
-    if adversary is None:
-        return []
-    if isinstance(adversary, AdversaryScenario):
-        return [adversary]
-    return adversary
-
-
 def apply_adversary(scenarios, tas, slot_codec, rng):
-    """Mutate the targeted agents' inputs; returns {index: field} for
-    targets whose value actually changed (a 5-10% scaling of a zero
-    value is a no-op and cannot be observed by any detector)."""
+    """Mutate the targeted agents' inputs by each AdversaryScenario in
+    the tuple `scenarios`, in order; returns {index: field} for targets
+    whose value actually changed (a 5-10% scaling of a zero value is a
+    no-op and cannot be observed by any detector)."""
     by_index = {ta.profile.index: ta for ta in tas}
     effective = {}
-    for sc in as_scenarios(scenarios):
+    for sc in scenarios:
         for idx in sc.target_indices:
             ta = by_index[idx]
             factor = 1.0 + rng.uniform(sc.perturb_lo, sc.perturb_hi)

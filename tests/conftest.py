@@ -24,6 +24,13 @@ def full_key():
                                            rounds=TEST_MR_ROUNDS)
 
 
+@pytest.fixture(scope="session")
+def short_key():
+    """A 20 + 100-bit key, to check size accounting at a second bits_q."""
+    return numtheory.generate_group_params(20, 100, random.Random(0),
+                                           rounds=TEST_MR_ROUNDS)
+
+
 class SequenceRng:
     """Feeds predetermined values to randrange; used to force shares."""
 

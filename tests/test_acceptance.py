@@ -140,8 +140,7 @@ def test_criterion_6_crypto_oracles(full_key):
                     lhs = pedersen.product(
                         [pedersen.commit(toy, m1, r1),
                          pedersen.commit(toy, m2, r2)], toy)
-                    assert lhs.value == pedersen.commit(toy, m1 + m2,
-                                                        r1 + r2).value
+                    assert lhs == pedersen.commit(toy, m1 + m2, r1 + r2)
     # Homomorphism and open/verify round trip at full size.
     for _ in range(1000):
         m1, r1 = rng.randrange(full_key.p), rng.randrange(full_key.p)
@@ -149,8 +148,8 @@ def test_criterion_6_crypto_oracles(full_key):
         lhs = pedersen.product(
             [pedersen.commit(full_key, m1, r1),
              pedersen.commit(full_key, m2, r2)], full_key)
-        assert lhs.value == pedersen.commit(
-            full_key, (m1 + m2) % full_key.p, (r1 + r2) % full_key.p).value
+        assert lhs == pedersen.commit(
+            full_key, (m1 + m2) % full_key.p, (r1 + r2) % full_key.p)
         c = pedersen.commit(full_key, m1, r1)
         assert pedersen.verify_open(full_key, c, m1, r1)
         assert not pedersen.verify_open(full_key, c, m1,

@@ -26,8 +26,8 @@ def _matrix():
         for worst_case in (False, True):
             for force_reveal in (False, True):
                 for fld in adversary_fields:
-                    adversary = (None if fld is None else
-                                 protocol.AdversaryScenario((1, 2, 3), fld))
+                    adversary = (() if fld is None else
+                                 (protocol.AdversaryScenario((1, 2, 3), fld),))
                     yield harness.ScenarioConfig(
                         n_tas=10, mode=mode, worst_case=worst_case,
                         force_reveal=force_reveal, adversary=adversary)

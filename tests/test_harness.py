@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from gridshare import harness, pedersen, protocol
+from gridshare import harness, market, pedersen, protocol
 from gridshare.errors import (
     AsymmetricTranscriptError,
     InvalidConfigError,
@@ -19,6 +19,9 @@ def _config(**overrides):
 
 
 def test_validate_rejects_bad_configs():
+    # An adversary is a tuple of scenarios: a bare one, a list or a tuple
+    # holding anything else is rejected.
+    e_n = protocol.AdversaryScenario((1,), protocol.E_FIELD)
     for overrides in (dict(n_tas=7), dict(n_tas=0), dict(bits_p=4),
                       dict(scale=0), dict(mode="hybrid"),
                       dict(keygen_mode="lazy"), dict(keygen_mode="faithful"),
@@ -29,14 +32,20 @@ def test_validate_rejects_bad_configs():
                       dict(sigma_frac=float("nan")),
                       dict(sigma_floor=float("-inf")),
                       dict(sigma_frac=-0.1), dict(sigma_floor=-0.1),
-                      dict(adversary=protocol.AdversaryScenario(
-                          (20,), protocol.E_FIELD)),
-                      dict(adversary=protocol.AdversaryScenario(
-                          (-1,), protocol.E_FIELD)),
-                      dict(adversary=[protocol.AdversaryScenario(
-                          (0, 10), protocol.E_FIELD)])):
+                      dict(adversary=(protocol.AdversaryScenario(
+                          (20,), protocol.E_FIELD),)),
+                      dict(adversary=(protocol.AdversaryScenario(
+                          (-1,), protocol.E_FIELD),)),
+                      dict(adversary=(protocol.AdversaryScenario(
+                          (0, 10), protocol.E_FIELD),)),
+                      dict(adversary=e_n), dict(adversary=[e_n]),
+                      dict(adversary=(e_n, (1,)))):
         with pytest.raises(InvalidConfigError):
             harness.validate_config(_config(**overrides))
+
+
+def test_scenario_defaults_are_the_market_defaults():
+    assert harness.ScenarioConfig().market_config() == market.MarketConfig()
 
 
 def test_validate_field_capacity_guard():
@@ -79,9 +88,9 @@ def test_scenario_file_rejects_garbage():
 def test_plain_mode_rejects_reveal_side_adversary():
     # Plain slots have no reveal and no r_n; only e_n can be perturbed.
     e_n = protocol.AdversaryScenario((1,), protocol.E_FIELD)
-    harness.run_scenario(_config(mode="plain", adversary=e_n))
+    harness.run_scenario(_config(mode="plain", adversary=(e_n,)))
     for fld in (protocol.FORECAST_FIELD, protocol.RANDOMNESS_FIELD):
-        adversary = [e_n, protocol.AdversaryScenario((2,), fld)]
+        adversary = (e_n, protocol.AdversaryScenario((2,), fld))
         with pytest.raises(InvalidConfigError):
             harness.run_scenario(_config(mode="plain", adversary=adversary))
 
@@ -91,8 +100,7 @@ def test_rejected_commitment_check_aborts_slot(monkeypatch, full_key):
 
     def off_by_one(commitments, ck):
         # The product times g opens to the aggregate forecast plus one.
-        c = real_product(commitments, ck)
-        return pedersen.Commitment(c.value * ck.g % ck.q, c.bits)
+        return real_product(commitments, ck) * ck.g % ck.q
 
     monkeypatch.setattr(pedersen, "product", off_by_one)
     with pytest.raises(ProtocolAbortError, match="rejected"):
@@ -236,21 +244,28 @@ def test_detection_experiment_rejects_impossible_targets():
 def test_detection_experiment_rejects_bad_settings_before_the_head(
         monkeypatch):
     # Plain mode and force_reveal would be overridden by the experiment's
-    # own secure slots and audit rule; a bad perturbation range would
-    # surface only at the first run's adversary, after the slot head.
+    # own secure slots and audit rule; a bad perturbation range (an
+    # infinite bound would report the projected ring bound as the slot's
+    # aggregate) would surface only at the first run's adversary, after
+    # the slot head.
     def no_head(*args):
         raise AssertionError("slot head ran")
 
     monkeypatch.setattr(harness, "_run_head", no_head)
+    inf, nan = float("inf"), float("nan")
     for overrides, perturb_range in ((dict(mode="plain"), (0.05, 0.10)),
                                      (dict(force_reveal=True), (0.05, 0.10)),
-                                     ({}, (-0.1, 0.1)), ({}, (0.1, 0.05))):
+                                     ({}, (-0.1, 0.1)), ({}, (0.1, 0.05)),
+                                     ({}, (0.05, inf)), ({}, (nan, 0.1))):
         with pytest.raises(InvalidConfigError):
             harness.detection_experiment(_config(n_tas=30, **overrides),
                                          n_targets=3,
                                          perturb_range=perturb_range,
                                          n_runs=2)
-    for args in (((0,), "voltage"), ((0,), protocol.E_FIELD, 0.2, 0.1)):
+    for args in (((0,), "voltage"), ((0,), protocol.E_FIELD, 0.2, 0.1),
+                 ((0,), protocol.E_FIELD, 0.05, inf),
+                 ((0,), protocol.E_FIELD, inf, inf),
+                 ((0,), protocol.E_FIELD, 0.05, nan)):
         with pytest.raises(InvalidConfigError):
             protocol.AdversaryScenario(*args)
 

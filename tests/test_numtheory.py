@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gridshare import numtheory
+from gridshare import harness, numtheory
 from gridshare.errors import InvalidParametersError
 from tests.conftest import TEST_MR_ROUNDS
 
@@ -94,11 +94,17 @@ def test_group_params_parse_rejects_malformed_text(toy_key):
             numtheory.GroupParams.parse(bad)
 
 
-def test_broadcast_bits_model(full_key):
+def test_broadcast_bits_model(short_key, full_key):
+    # The operator broadcasts and stores q, g and h as bits_q-bit values
+    # and p as a bits_p-bit value.
     assert full_key.bits_q == 1020
     assert full_key.bits_p == 20
-    assert full_key.broadcast_bits == 3 * 1020 + 20
-    assert abs(full_key.broadcast_bits / 8 / 1024 - 0.376) < 0.001
+    for ck in (short_key, full_key):
+        report = harness.run_scenario(harness.ScenarioConfig(n_tas=4), ck=ck)
+        key_bits = 3 * ck.bits_q + ck.bits_p
+        assert report.traffic_kb["keygen"]["TO"] * 8 * 1024 == key_bits
+        assert report.storage_kb["keygen"]["TO"] * 8 * 1024 == key_bits
+    assert abs(report.traffic_kb["keygen"]["TO"] - 0.376) < 0.001
 
 
 def test_generate_group_params_deterministic():

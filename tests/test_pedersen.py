@@ -7,18 +7,23 @@ from gridshare.errors import InvalidKeyError, InvalidParametersError
 
 
 def test_commit_hand_values(toy_key):
-    assert pedersen.commit(toy_key, 2, 3).value == 4
-    assert pedersen.commit(toy_key, 0, 0).value == 1
+    assert pedersen.commit(toy_key, 2, 3) == 4
+    assert pedersen.commit(toy_key, 0, 0) == 1
 
 
 def test_commit_reduces_exponents(toy_key):
-    assert (pedersen.commit(toy_key, 7, 9).value
-            == pedersen.commit(toy_key, 7 % 5, 9 % 5).value)
+    assert (pedersen.commit(toy_key, 7, 9)
+            == pedersen.commit(toy_key, 7 % 5, 9 % 5))
 
 
-def test_commit_bits_matches_key(toy_key, full_key):
-    assert pedersen.commit(toy_key, 1, 1).bits == 4   # 11 is a 4-bit value
-    assert pedersen.commit(full_key, 1, 1).bits == 1020
+def test_commit_bits_matches_key(short_key, full_key):
+    # Each agent sends its commitment as one bits_q-bit value, beside the
+    # two 32-bit share rounds of E_n and r_n.
+    n = 4
+    for ck in (short_key, full_key):
+        report = harness.run_scenario(harness.ScenarioConfig(n_tas=n), ck=ck)
+        assert report.traffic_kb["commitment"]["TA"] * 8 * 1024 == \
+            2 * 32 * n + ck.bits_q
 
 
 def test_commit_rejects_bad_key():
@@ -57,7 +62,7 @@ def test_homomorphism_exhaustive_toy(toy_key):
                         [pedersen.commit(toy_key, m1, r1),
                          pedersen.commit(toy_key, m2, r2)], toy_key)
                     direct = pedersen.commit(toy_key, m1 + m2, r1 + r2)
-                    assert combined.value == direct.value
+                    assert combined == direct
 
 
 def test_homomorphism_random_full_size(full_key):
@@ -70,16 +75,16 @@ def test_homomorphism_random_full_size(full_key):
              pedersen.commit(full_key, m2, r2)], full_key)
         direct = pedersen.commit(full_key, (m1 + m2) % full_key.p,
                                  (r1 + r2) % full_key.p)
-        assert combined.value == direct.value
+        assert combined == direct
 
 
 def test_product_hand_and_edge_cases(toy_key):
     c1, c2 = pedersen.commit(toy_key, 2, 3), pedersen.commit(toy_key, 1, 1)
-    assert pedersen.product([c1, c2], toy_key).value == \
-        pedersen.commit(toy_key, 3, 4).value
-    assert pedersen.product([c1], toy_key).value == c1.value
+    assert pedersen.product([c1, c2], toy_key) == \
+        pedersen.commit(toy_key, 3, 4)
+    assert pedersen.product([c1], toy_key) == c1
     inverse = pedersen.commit(toy_key, toy_key.p - 2, toy_key.p - 3)
-    assert pedersen.product([c1, inverse], toy_key).value == 1
+    assert pedersen.product([c1, inverse], toy_key) == 1
     with pytest.raises(InvalidParametersError):
         pedersen.product([], toy_key)
 
@@ -87,10 +92,10 @@ def test_product_hand_and_edge_cases(toy_key):
 def test_perfectly_hiding_toy(toy_key):
     # Every message yields the same multiset of commitment values as r
     # ranges over Z_p, so a commitment reveals nothing about m.
-    reference = sorted(pedersen.commit(toy_key, 0, r).value
+    reference = sorted(pedersen.commit(toy_key, 0, r)
                        for r in range(toy_key.p))
     for m in range(1, toy_key.p):
-        values = sorted(pedersen.commit(toy_key, m, r).value
+        values = sorted(pedersen.commit(toy_key, m, r)
                         for r in range(toy_key.p))
         assert values == reference
 

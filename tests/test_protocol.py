@@ -146,11 +146,11 @@ def test_lists_are_exclusive_under_mixed_adversary(full_key):
     tas, to, codec, transcript = _committed_slot(full_key,
                                                  [6.0, 5.0, -4.0, -7.0])
     rng = random.Random(0)
-    scenarios = [
+    scenarios = (
         protocol.AdversaryScenario((0,), protocol.E_FIELD),
         protocol.AdversaryScenario((1,), protocol.FORECAST_FIELD),
         protocol.AdversaryScenario((2,), protocol.RANDOMNESS_FIELD),
-    ]
+    )
     effective = protocol.apply_adversary(scenarios, tas, codec, rng)
     assert effective == {0: protocol.E_FIELD, 1: protocol.FORECAST_FIELD,
                          2: protocol.RANDOMNESS_FIELD}
@@ -166,7 +166,7 @@ def test_zero_perturbation_is_a_no_op(full_key):
     tas, to, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
     scenario = protocol.AdversaryScenario((0,), protocol.E_FIELD,
                                           perturb_lo=0.0, perturb_hi=0.0)
-    effective = protocol.apply_adversary(scenario, tas, codec,
+    effective = protocol.apply_adversary((scenario,), tas, codec,
                                          random.Random(0))
     assert effective == {}
     report = protocol.run_online(tas, to, codec, transcript, beta=0.1,
@@ -178,7 +178,7 @@ def test_perturbing_a_zero_value_is_ineffective(full_key):
     tas, to, codec, transcript = _committed_slot(full_key, [0.0, -0.0])
     scenario = protocol.AdversaryScenario((0, 1), protocol.E_FIELD,
                                           perturb_lo=0.5, perturb_hi=0.5)
-    effective = protocol.apply_adversary(scenario, tas, codec,
+    effective = protocol.apply_adversary((scenario,), tas, codec,
                                          random.Random(0))
     assert effective == {}
 
