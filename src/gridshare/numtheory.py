@@ -6,6 +6,7 @@ p, q with q = b*p + 1 and two generators of the order-p subgroup of Z_q*.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 
@@ -18,6 +19,15 @@ from .errors import (
 # Miller-Rabin round count used when verifying primes; a composite
 # passes with probability at most 4**-64.
 DEFAULT_MR_ROUNDS = 64
+
+# Digit width W, in exponent bits, of a key's fixed-base tables: each base
+# gets ceil(bits_p / W) rows of 2**W entries. A wider digit cuts the
+# 2 * ceil(bits_p / W) multiplies per commitment but doubles every row. At
+# bits_p = 20 and bits_q = 1020, W = 5 gives 8 multiplies and a 40 KB
+# table; W = 7 gives 6 and 126 KB, and in the benchmark's detection
+# workload it ran about 3% faster but raised peak memory more.
+FIXED_BASE_WINDOW = 5
+_DIGIT_MASK = (1 << FIXED_BASE_WINDOW) - 1
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                  53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107,
@@ -111,13 +121,40 @@ class GroupParams:
         return self.p.bit_length()
 
     def check_generators(self):
-        """g and h are distinct non-identity elements of order p."""
+        """g and h are distinct non-identity elements of order p, written
+        as residues 1 < g, h < q."""
+        if self.p < 2:
+            raise InvalidKeyError(f"group order p = {self.p} is below 2")
         for name, x in (("g", self.g), ("h", self.h)):
-            if x in (0, 1) or pow(x, self.p, self.q) != 1:
+            if not 1 < x < self.q or pow(x, self.p, self.q) != 1:
                 raise InvalidKeyError(f"{name} is not a non-identity "
                                       "element of the subgroup")
         if self.g == self.h:
             raise InvalidKeyError("g and h must differ")
+
+    @functools.cached_property
+    def _fixed_base_tables(self):
+        """Rows of g and of h: row j of a base holds base^(d * 2^(W*j))
+        mod q for every W-bit digit d, W = FIXED_BASE_WINDOW.
+
+        Built from multiplications alone (no `pow`) at first use and kept
+        in this key object's instance dict, so it is freed with the key.
+        eq, hash and `serialize` read only the dataclass fields."""
+        n_rows = -(-self.bits_p // FIXED_BASE_WINDOW)
+        return tuple(_fixed_base_rows(base, self.q, n_rows)
+                     for base in (self.g, self.h))
+
+    def gh_power(self, m, r):
+        """g^m * h^r mod q for exponents 0 <= m, r < p: one table multiply
+        per digit (Brickell-Gordon-McCurley-Wilson, EUROCRYPT 1992;
+        Lim-Lee, CRYPTO 1994), reducing mod q after each."""
+        q = self.q
+        acc = 1
+        for e, rows in zip((m, r), self._fixed_base_tables):
+            for row in rows:
+                acc = acc * row[e & _DIGIT_MASK] % q
+                e >>= FIXED_BASE_WINDOW
+        return acc
 
     def validate(self, rounds=DEFAULT_MR_ROUNDS, rng=None):
         if self.b * self.p + 1 != self.q:
@@ -151,6 +188,19 @@ class GroupParams:
         if missing:
             raise InvalidParametersError(f"missing key fields: {sorted(missing)}")
         return cls(**{k: fields[k] for k in ("q", "p", "b", "g", "h")})
+
+
+def _fixed_base_rows(base, q, n_rows):
+    """n_rows rows of 2**FIXED_BASE_WINDOW powers; row j starts at 1 and
+    steps by base^(2^(W*j))."""
+    rows = []
+    for _ in range(n_rows):
+        row = [1]
+        for _ in range(_DIGIT_MASK):
+            row.append(row[-1] * base % q)
+        rows.append(row)
+        base = row[-1] * base % q
+    return rows
 
 
 def generate_group_params(bits_p, bits_b, rng, rounds=DEFAULT_MR_ROUNDS):

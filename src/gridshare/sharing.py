@@ -8,6 +8,7 @@ rounds share over the commitment group order p.
 from __future__ import annotations
 
 import struct
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -78,7 +79,9 @@ def split(secret, n_parties, modulus, rng):
 
     The first n_parties-1 shares are uniform; the last completes the sum.
     Over NEGOTIATION_MODULUS they come from one getrandbits call, unpacked
-    as 64-bit words; any other modulus draws them with randrange.
+    as 64-bit words. A modulus of at most 32 bits takes them from bulk
+    32-bit words (`_words_below`), and a wider one draws them with
+    randrange.
     """
     if n_parties < 2:
         raise InvalidPartyCountError(f"need >= 2 parties, got {n_parties}")
@@ -86,9 +89,34 @@ def split(secret, n_parties, modulus, rng):
     if modulus == NEGOTIATION_MODULUS:
         words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
         shares = list(struct.unpack(f"<{k}Q", words))
+    elif modulus.bit_length() <= 32:
+        shares = _words_below(modulus, k, rng)
     else:
         shares = [rng.randrange(modulus) for _ in range(k)]
     shares.append((secret - sum(shares)) % modulus)
+    return shares
+
+
+def _words_below(modulus, k, rng):
+    """k draws of rng.randrange(modulus) for 1 < modulus < 2**32, equal in
+    value and in the generator state they leave.
+
+    CPython's randrange keeps the top modulus.bit_length() bits of one
+    32-bit word per candidate and rejects candidates >= modulus. Each pass
+    here draws one word per missing share in a single getrandbits call, so
+    it never reads past the k-th accepted word. (A memoryview reads the
+    words because `struct` would cache a format per shortfall size.)"""
+    shift = 32 - modulus.bit_length()
+    limit = modulus << shift
+    shares = []
+    need = k
+    while need:
+        raw = rng.getrandbits(32 * need).to_bytes(4 * need, sys.byteorder)
+        words = memoryview(raw).cast("I")
+        if sys.byteorder == "big":
+            words = words[::-1]     # getrandbits' first word is its lowest
+        shares += [w >> shift for w in words if w < limit]
+        need = k - len(shares)
     return shares
 
 

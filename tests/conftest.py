@@ -32,10 +32,14 @@ def short_key():
 
 
 class SequenceRng:
-    """Feeds predetermined values to randrange; used to force shares."""
+    """Forces the shares `sharing.split` draws over `modulus` (at most 32
+    bits): getrandbits emits each value in the top bits of one 32-bit
+    word, where split reads a candidate, first value lowest."""
 
-    def __init__(self, values):
+    def __init__(self, values, modulus):
         self.values = list(values)
+        self.shift = 32 - modulus.bit_length()
 
-    def randrange(self, *_args):
-        return self.values.pop(0)
+    def getrandbits(self, k):
+        return sum(self.values.pop(0) << (self.shift + 32 * i)
+                   for i in range(k // 32))

@@ -31,11 +31,59 @@ def test_commit_rejects_bad_key():
     config = harness.ScenarioConfig(n_tas=4)
     bad = numtheory.GroupParams(q=11, p=5, b=2, g=2, h=4)   # 2 has order 10
     same = numtheory.GroupParams(q=11, p=5, b=2, g=3, h=3)
-    for key in (bad, same):
+    # 14 = 3 mod 11 has order 5, but a residue >= q does not fit the
+    # bits_q bits that the wire model gives g.
+    unreduced = numtheory.GroupParams(q=11, p=5, b=2, g=14, h=4)
+    for key in (bad, same, unreduced):
         with pytest.raises(InvalidKeyError):
             harness.run_scenario(config, ck=key)
         with pytest.raises(InvalidKeyError):
             key.validate()
+    # Keys that fail structurally, before any order check could run: a
+    # zero modulus, and a negative order with a non-invertible g mod 4.
+    for key in (numtheory.GroupParams(q=0, p=5, b=2, g=3, h=4),
+                numtheory.GroupParams(q=4, p=-1, b=-3, g=2, h=3)):
+        with pytest.raises(InvalidKeyError):
+            harness.run_scenario(config, ck=key)
+
+
+def pow_commit(ck, message, randomness):
+    """The two-`pow` form of a commitment, the oracle for the tables."""
+    return (pow(ck.g, message % ck.p, ck.q)
+            * pow(ck.h, randomness % ck.p, ck.q)) % ck.q
+
+
+def test_commit_equals_pow_oracle_exhaustive_toy(toy_key):
+    p = toy_key.p
+    for m in range(-2 * p, 2 * p):
+        for r in range(-2 * p, 2 * p):
+            assert pedersen.commit(toy_key, m, r) == pow_commit(toy_key, m, r)
+
+
+def assert_commit_equals_oracle(ck, rng):
+    # Messages and randomness below 0 and at or above p, both reduced
+    # mod p before any table lookup.
+    p = ck.p
+    edges = [0, 1, p - 1, p, p + 1, -1, -p, -p - 1, 2 * p - 1,
+             (1 << ck.bits_p) - 1, 1 << ck.bits_p, -(1 << 70)]
+    values = edges + [rng.randrange(-5 * p, 5 * p) for _ in range(200)]
+    for m, r in zip(values, reversed(values)):
+        assert pedersen.commit(ck, m, r) == pow_commit(ck, m, r)
+
+
+def test_commit_equals_pow_oracle_test_keys(short_key, full_key):
+    for ck in (short_key, full_key):
+        assert_commit_equals_oracle(ck, random.Random(ck.bits_q))
+
+
+@pytest.mark.parametrize("bits_p", [8, 2 * numtheory.FIXED_BASE_WINDOW,
+                                    2 * numtheory.FIXED_BASE_WINDOW + 1])
+def test_commit_equals_pow_oracle_digit_edges(bits_p):
+    # 2W bits fill two table rows exactly; 2W + 1 bits, and 8 bits at
+    # W = 5, end in a digit shorter than W bits.
+    ck = numtheory.generate_group_params(bits_p, 100, random.Random(bits_p))
+    assert ck.bits_p == bits_p
+    assert_commit_equals_oracle(ck, random.Random(bits_p))
 
 
 def test_verify_open_hand_values(toy_key):

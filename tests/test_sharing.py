@@ -53,7 +53,7 @@ def test_encode_rejects_non_finite():
 
 
 def test_split_forced_randomness():
-    shares = sharing.split(42, 3, 101, SequenceRng([10, 20]))
+    shares = sharing.split(42, 3, 101, SequenceRng([10, 20], 101))
     assert shares == [10, 20, 12]
     assert sum(shares) % 101 == 42
 
@@ -147,6 +147,22 @@ def test_split_reconstruct_round_trip():
         assert codec.decode(back) == codec.decode(enc)
 
 
+@pytest.mark.parametrize("p", [3, 101, 1 << 19, 833821, 886387,
+                               (1 << 20) + 7, (1 << 31) + 1, (1 << 32) - 5])
+def test_split_over_p_is_the_randrange_stream(p):
+    # Shares over a modulus of at most 32 bits come from bulk 32-bit
+    # words, yet equal randrange's draws and leave the generator where
+    # randrange would.
+    for n in (2, 3, 17, 100, 400):
+        for seed in range(5):
+            rng, reference = random.Random(seed), random.Random(seed)
+            shares = sharing.split(seed % p, n, p, rng)
+            assert shares[:-1] == [reference.randrange(p)
+                                   for _ in range(n - 1)]
+            assert rng.getstate() == reference.getstate()
+            assert sum(shares) % p == seed % p
+
+
 def test_signed_round_trip_toy():
     codec = sharing.FixedPointCodec(101, 1)
     shares = sharing.split(codec.encode(-5), 3, 101, random.Random(3))
@@ -156,8 +172,8 @@ def test_signed_round_trip_toy():
 
 def test_two_layer_aggregation_hand_case():
     # Secrets 3 = 1 + 2 and 4 = 3 + 1 over p = 101.
-    rows = [sharing.split(3, 2, 101, SequenceRng([1])),
-            sharing.split(4, 2, 101, SequenceRng([3]))]
+    rows = [sharing.split(3, 2, 101, SequenceRng([1], 101)),
+            sharing.split(4, 2, 101, SequenceRng([3], 101))]
     assert rows == [[1, 2], [3, 1]]
     agg1 = sharing.reconstruct([rows[0][0], rows[1][0]], 101, 2)
     agg2 = sharing.reconstruct([rows[0][1], rows[1][1]], 101, 2)
