@@ -72,6 +72,7 @@ class TAgent:
 
     def __init__(self, profile, rng):
         self.profile = profile
+        self.id = ta_id(profile.index)
         self.rng = rng
         self.state = market.AgentState.initial(profile)
         self.E_n = None            # encoded forecast, fixed after negotiation
@@ -80,10 +81,6 @@ class TAgent:
         self.reveal_E = None
         self.reveal_r = None
         self.refuse_reveal = False
-
-    @property
-    def id(self):
-        return ta_id(self.profile.index)
 
 
 class Operator:
@@ -101,14 +98,24 @@ def _share_round(tas, values, modulus, transcript, phase):
     Every agent splits its value into N shares, sends N-1 of them to its
     peers, then submits the sum of the N shares it received (own kept
     share included) to the operator. Returns the operator-side total.
+
+    Over NEGOTIATION_MODULUS, `sharing.ring_aggregates` draws every
+    agent's shares and sums them per peer in big-integer lanes, with no
+    N x N share table; over p each agent's row comes from `sharing.split`.
+    Both give the per-peer aggregates of `split` and `reconstruct`, which
+    stay the reference.
     """
     n = len(tas)
-    rows = []
-    for ta, value in zip(tas, values):
-        rows.append(sharing.split(value, n, modulus, ta.rng))
+    if modulus == sharing.NEGOTIATION_MODULUS:
+        aggregates = sharing.ring_aggregates(values, [ta.rng for ta in tas])
+    else:
+        rows = [sharing.split(value, n, modulus, ta.rng)
+                for ta, value in zip(tas, values)]
+        aggregates = [sharing.reconstruct(col, modulus, n)
+                      for col in zip(*rows)]
+    for ta in tas:
         transcript.send(phase, SHARE_TRANSFER, ta.id, "PEERS",
                         SCALAR_BITS * (n - 1))
-    aggregates = [sharing.reconstruct(col, modulus, n) for col in zip(*rows)]
     for ta in tas:
         transcript.send(phase, AGGREGATE_SUBMIT, ta.id, TO_ID, SCALAR_BITS)
     return sharing.reconstruct(aggregates, modulus, n)

@@ -79,6 +79,29 @@ def test_ring_split_is_one_bulk_draw():
     assert shares[:-1] == list(words)
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 100, 400])
+def test_ring_aggregates_equal_split_and_reconstruct(n):
+    # The lane sums give split's per-peer aggregates from the same draws,
+    # and leave every generator where split leaves it.
+    pick = random.Random(n)
+    for values in ([0] * n, [RING - 1] * n,
+                   [pick.randrange(RING) for _ in range(n)]):
+        rngs = [random.Random(f"{n}/{i}") for i in range(n)]
+        references = [random.Random(f"{n}/{i}") for i in range(n)]
+        rows = [sharing.split(v, n, RING, rng)
+                for v, rng in zip(values, references)]
+        expected = [sharing.reconstruct(col, RING, n) for col in zip(*rows)]
+        assert sharing.ring_aggregates(values, rngs) == expected
+        assert ([rng.getstate() for rng in rngs]
+                == [rng.getstate() for rng in references])
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_ring_aggregates_rejects_fewer_than_two_parties(n):
+    with pytest.raises(InvalidPartyCountError):
+        sharing.ring_aggregates([7] * n, [random.Random(0)] * n)
+
+
 def _ring_round(values, seed):
     tas = [SimpleNamespace(id=f"TA{i}", rng=random.Random(f"{seed}/{i}"))
            for i in range(len(values))]
