@@ -22,7 +22,8 @@ class EncodingRangeError(GridShareError):
 
 
 class InvalidPartyCountError(GridShareError):
-    """Secret sharing requested for fewer than two parties."""
+    """Secret sharing requested for fewer than two parties, or with a
+    different number of values and generators."""
 
 
 class IncompleteSharesError(GridShareError):

@@ -100,8 +100,9 @@ def _share_round(tas, values, modulus, transcript, phase):
     share included) to the operator. Returns the operator-side total.
 
     Over NEGOTIATION_MODULUS, `sharing.ring_aggregates` draws every
-    agent's shares and sums them per peer in big-integer lanes, with no
-    N x N share table; over p each agent's row comes from `sharing.split`.
+    agent's shares and sums them per peer with one add and one mask per
+    agent, with no N x N share table and no per-agent row sum; over p
+    each agent's row comes from `sharing.split`.
     Both give the per-peer aggregates of `split` and `reconstruct`, which
     stay the reference.
     """

@@ -6,9 +6,9 @@ rounds share over the commitment group order p.
 
 `split` and `reconstruct` are the reference: one agent's shares, and one
 sum of shares. A round over the ring runs through `ring_aggregates`,
-which makes the same draws as `split` but adds every agent's shares as
-64-bit words packed into 128-bit lanes of Python ints, so no N x N
-share table is built.
+which makes the same draws as `split` and costs one add and one mask
+per agent: column sums come out of 128-bit lanes of two running ints,
+so no N x N share table is built and no agent's row is summed.
 """
 
 from __future__ import annotations
@@ -134,47 +134,41 @@ def ring_aggregates(values, rngs):
     `split(values[i], N, NEGOTIATION_MODULUS, rngs[i])` would give, in
     that order, and every generator ends where `split` leaves it.
 
-    Each agent's N-1 drawn shares are one getrandbits integer x. Its even
-    words (x & even) and its odd words ((x >> 64) & even) sit in the low
-    half of 128-bit lanes, so adding them across agents gives exact column
-    sums (each below N * 2**64). Folding the two halves of one agent's
-    lanes onto each other gives its row sum, and so its own completing
-    share.
+    Each agent's N-1 drawn shares are one getrandbits integer x, added
+    whole into `total` and as its even words (x & even) into `evens`.
+    With the words paired into 128-bit lanes, `evens` holds the exact
+    even-column sums and (total - evens) >> 64 the exact odd-column sums,
+    each below N * 2**64, so no lane spills into the next. The completing
+    shares sum to sum(values) minus every drawn share, which is
+    sum(values) minus the N-1 column sums.
     """
     n = len(values)
     if n < 2:
         raise InvalidPartyCountError(f"need >= 2 parties, got {n}")
-    even, folds, words = _lane_constants(n - 1)
-    evens = odds = completing = 0
-    for value, rng in zip(values, rngs):
+    if len(rngs) != n:
+        raise InvalidPartyCountError(
+            f"{n} values but {len(rngs)} generators")
+    even, words = _lane_constants(n - 1)
+    total = evens = 0
+    for rng in rngs:
         x = rng.getrandbits(64 * (n - 1))
-        lo = x & even
-        hi = (x >> 64) & even
-        evens += lo
-        odds += hi
-        row = lo + hi
-        for shift, mask in folds:
-            row = (row & mask) + (row >> shift)
-        completing += (value - row) & _WORD
+        total += x
+        evens += x & even
+    odds = (total - evens) >> 64
     # The low word of each lane is its column sum mod 2**64.
     columns = (evens & even) | ((odds & even) << 64)
     aggregates = list(words.unpack(columns.to_bytes(words.size, "little")))
-    aggregates.append(completing & _WORD)
+    aggregates.append((sum(values) - sum(aggregates)) & _WORD)
     return aggregates
 
 
 @functools.lru_cache(maxsize=16)
 def _lane_constants(k):
     """For k drawn shares per agent: the mask of the low word of each of
-    the ceil(k/2) 128-bit lanes, the (shift, mask) pairs that fold those
-    lanes into one, and the struct reading k words."""
-    lanes = (k + 1) // 2
-    even = int.from_bytes((b"\xff" * 8 + b"\x00" * 8) * lanes, "little")
-    folds = []
-    while lanes > 1:
-        lanes = (lanes + 1) // 2
-        folds.append((128 * lanes, (1 << 128 * lanes) - 1))
-    return even, tuple(folds), struct.Struct(f"<{k}Q")
+    the ceil(k/2) 128-bit lanes, and the struct reading k words."""
+    even = int.from_bytes((b"\xff" * 8 + b"\x00" * 8) * ((k + 1) // 2),
+                          "little")
+    return even, struct.Struct(f"<{k}Q")
 
 
 def reconstruct(shares, modulus, n_parties=None):

@@ -79,27 +79,62 @@ def test_ring_split_is_one_bulk_draw():
     assert shares[:-1] == list(words)
 
 
-@pytest.mark.parametrize("n", [2, 4, 6, 100, 400])
+def _assert_ring_aggregates_match_split(values, make_rng):
+    n = len(values)
+    rngs = [make_rng(i) for i in range(n)]
+    references = [make_rng(i) for i in range(n)]
+    rows = [sharing.split(v, n, RING, rng)
+            for v, rng in zip(values, references)]
+    expected = [sharing.reconstruct(col, RING, n) for col in zip(*rows)]
+    assert sharing.ring_aggregates(values, rngs) == expected
+    assert ([rng.getstate() for rng in rngs]
+            == [rng.getstate() for rng in references])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 100, 101, 400])
 def test_ring_aggregates_equal_split_and_reconstruct(n):
     # The lane sums give split's per-peer aggregates from the same draws,
-    # and leave every generator where split leaves it.
+    # and leave every generator where split leaves it. Odd n fills every
+    # lane (n - 1 words per draw); even n leaves the top lane half empty.
     pick = random.Random(n)
     for values in ([0] * n, [RING - 1] * n,
                    [pick.randrange(RING) for _ in range(n)]):
-        rngs = [random.Random(f"{n}/{i}") for i in range(n)]
-        references = [random.Random(f"{n}/{i}") for i in range(n)]
-        rows = [sharing.split(v, n, RING, rng)
-                for v, rng in zip(values, references)]
-        expected = [sharing.reconstruct(col, RING, n) for col in zip(*rows)]
-        assert sharing.ring_aggregates(values, rngs) == expected
-        assert ([rng.getstate() for rng in rngs]
-                == [rng.getstate() for rng in references])
+        _assert_ring_aggregates_match_split(
+            values, lambda i: random.Random(f"{n}/{i}"))
+
+
+class SaturatedRng:
+    """Every getrandbits bit is set, so each drawn share is 2**64 - 1."""
+
+    def getrandbits(self, k):
+        return (1 << k) - 1
+
+    def getstate(self):
+        return ()
+
+
+def test_ring_aggregates_saturated_draws():
+    # Worst-case column sums, n * (2**64 - 1), must not spill across
+    # 128-bit lanes when the odd columns are recovered from the total.
+    n = 400
+    _assert_ring_aggregates_match_split([RING - 1] * n,
+                                        lambda i: SaturatedRng())
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_ring_aggregates_rejects_fewer_than_two_parties(n):
     with pytest.raises(InvalidPartyCountError):
         sharing.ring_aggregates([7] * n, [random.Random(0)] * n)
+
+
+@pytest.mark.parametrize("n_rngs", [2, 4])
+def test_ring_aggregates_rejects_mismatched_generators(n_rngs):
+    rngs = [random.Random(i) for i in range(n_rngs)]
+    with pytest.raises(InvalidPartyCountError):
+        sharing.ring_aggregates([7, 8, 9], rngs)
+    # Nothing was drawn before the check.
+    assert ([rng.getstate() for rng in rngs]
+            == [random.Random(i).getstate() for i in range(n_rngs)])
 
 
 def _ring_round(values, seed):
