@@ -10,7 +10,8 @@ class GenerationFailureError(GridShareError):
 
 
 class InvalidParametersError(GridShareError):
-    """Group parameters failed a structural check (order, cofactor, size)."""
+    """Group parameters or a sharing modulus failed a structural check
+    (order, cofactor, size)."""
 
 
 class InvalidKeyError(InvalidParametersError):

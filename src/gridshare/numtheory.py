@@ -173,21 +173,22 @@ class GroupParams:
 
     @classmethod
     def parse(cls, text):
-        fields = {}
+        fields = []
         for line in text.splitlines():
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
             try:
-                fields[key.strip()] = int(value.strip())
+                fields.append((key.strip(), int(value.strip())))
             except ValueError:
                 raise InvalidParametersError(
                     f"malformed key line {line!r}") from None
-        missing = {"q", "p", "b", "g", "h"} - set(fields)
-        if missing:
-            raise InvalidParametersError(f"missing key fields: {sorted(missing)}")
-        return cls(**{k: fields[k] for k in ("q", "p", "b", "g", "h")})
+        keys = sorted(key for key, _ in fields)
+        if keys != sorted("qpbgh"):
+            raise InvalidParametersError(
+                f"key fields {keys}: need each of q, p, b, g, h once")
+        return cls(**dict(fields))
 
 
 def _fixed_base_rows(base, q, n_rows):

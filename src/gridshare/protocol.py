@@ -99,21 +99,15 @@ def _share_round(tas, values, modulus, transcript, phase):
     peers, then submits the sum of the N shares it received (own kept
     share included) to the operator. Returns the operator-side total.
 
-    Over NEGOTIATION_MODULUS, `sharing.ring_aggregates` draws every
-    agent's shares and sums them per peer with one add and one mask per
-    agent, with no N x N share table and no per-agent row sum; over p
-    each agent's row comes from `sharing.split`.
-    Both give the per-peer aggregates of `split` and `reconstruct`, which
-    stay the reference.
+    `sharing.share_aggregates` draws every agent's shares and sums them
+    per peer, over the negotiation ring and over p alike, with one add
+    and one mask per agent, no N x N share table and no per-agent row
+    sum. It gives the per-peer aggregates of `split` and `reconstruct`,
+    which stay the reference.
     """
     n = len(tas)
-    if modulus == sharing.NEGOTIATION_MODULUS:
-        aggregates = sharing.ring_aggregates(values, [ta.rng for ta in tas])
-    else:
-        rows = [sharing.split(value, n, modulus, ta.rng)
-                for ta, value in zip(tas, values)]
-        aggregates = [sharing.reconstruct(col, modulus, n)
-                      for col in zip(*rows)]
+    aggregates = sharing.share_aggregates(values, [ta.rng for ta in tas],
+                                          modulus)
     for ta in tas:
         transcript.send(phase, SHARE_TRANSFER, ta.id, "PEERS",
                         SCALAR_BITS * (n - 1))

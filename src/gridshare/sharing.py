@@ -1,26 +1,32 @@
-"""(N,N) additive secret sharing modulo an integer with fixed-point
+"""(N,N) additive secret sharing modulo an integer m with fixed-point
 encoding of signed kWh quantities.
 
 Negotiation rounds share over the ring Z_2^64; commitment and online
-rounds share over the commitment group order p.
+rounds share over the commitment group order p. One draw rule serves
+every m >= 2. Shares come from w-bit words, w the smallest multiple of
+64 with 2**w mod m <= 2**(w-32): 64 for the ring and for any m < 2**32.
+An agent draws its N-1 words as one getrandbits(w*(N-1)), redrawn whole
+while any word is >= L = 2**w - (2**w mod m), and share j is word j mod
+m, so every share is exactly uniform over Z_m. Over the ring no word is
+ever rejected and a share is its word.
 
 `split` and `reconstruct` are the reference: one agent's shares, and one
-sum of shares. A round over the ring runs through `ring_aggregates`,
-which makes the same draws as `split` and costs one add and one mask
-per agent: column sums come out of 128-bit lanes of two running ints,
-so no N x N share table is built and no agent's row is summed.
+sum of shares. A round runs through `share_aggregates`, which makes the
+same draws and costs one add and one mask per agent: column sums come
+out of 2w-bit lanes of two running ints, so no N x N share table is
+built and no agent's row is summed.
 """
 
 from __future__ import annotations
 
 import functools
 import struct
-import sys
 from dataclasses import dataclass
 
 from .errors import (
     EncodingRangeError,
     IncompleteSharesError,
+    InvalidParametersError,
     InvalidPartyCountError,
 )
 
@@ -30,7 +36,6 @@ from .errors import (
 # so those rounds share over the ring Z_2^64 instead: additive sharing
 # needs no inverse, and a share is 64 random bits.
 NEGOTIATION_MODULUS = 1 << 64
-_WORD = NEGOTIATION_MODULUS - 1
 
 DEFAULT_SCALE = 10_000
 
@@ -85,90 +90,91 @@ class FixedPointCodec:
 def split(secret, n_parties, modulus, rng):
     """Share `secret` into n_parties uniform summands mod `modulus`.
 
-    The first n_parties-1 shares are uniform; the last completes the sum.
-    Over NEGOTIATION_MODULUS they come from one getrandbits call, unpacked
-    as 64-bit words. A modulus of at most 32 bits takes them from bulk
-    32-bit words (`_words_below`), and a wider one draws them with
-    randrange.
+    The first n_parties-1 shares are the w-bit words of one accepted draw
+    (the module docstring's rule), each reduced mod `modulus`; the last
+    completes the sum. It is the reference for `share_aggregates`.
     """
-    if n_parties < 2:
-        raise InvalidPartyCountError(f"need >= 2 parties, got {n_parties}")
-    k = n_parties - 1
-    if modulus == NEGOTIATION_MODULUS:
-        words = rng.getrandbits(64 * k).to_bytes(8 * k, "little")
-        shares = list(struct.unpack(f"<{k}Q", words))
-    elif modulus.bit_length() <= 32:
-        shares = _words_below(modulus, k, rng)
-    else:
-        shares = [rng.randrange(modulus) for _ in range(k)]
+    width, draw, _, _ = _draw_rule(modulus, n_parties)
+    x = draw(rng)
+    mask = (1 << width) - 1
+    shares = [((x >> (width * j)) & mask) % modulus
+              for j in range(n_parties - 1)]
     shares.append((secret - sum(shares)) % modulus)
     return shares
 
 
-def _words_below(modulus, k, rng):
-    """k draws of rng.randrange(modulus) for 1 < modulus < 2**32, equal in
-    value and in the generator state they leave.
+def share_aggregates(values, rngs, modulus):
+    """Per-peer aggregates of one (N,N) sharing round mod `modulus`:
+    entry j is the sum of the j-th shares that
+    `split(values[i], N, modulus, rngs[i])` would give, in that order,
+    and every generator ends where `split` leaves it.
 
-    CPython's randrange keeps the top modulus.bit_length() bits of one
-    32-bit word per candidate and rejects candidates >= modulus. Each pass
-    here draws one word per missing share in a single getrandbits call, so
-    it never reads past the k-th accepted word. (A memoryview reads the
-    words because `struct` would cache a format per shortfall size.)"""
-    shift = 32 - modulus.bit_length()
-    limit = modulus << shift
-    shares = []
-    need = k
-    while need:
-        raw = rng.getrandbits(32 * need).to_bytes(4 * need, sys.byteorder)
-        words = memoryview(raw).cast("I")
-        if sys.byteorder == "big":
-            words = words[::-1]     # getrandbits' first word is its lowest
-        shares += [w >> shift for w in words if w < limit]
-        need = k - len(shares)
-    return shares
-
-
-def ring_aggregates(values, rngs):
-    """Per-peer aggregates of one (N,N) sharing round over
-    NEGOTIATION_MODULUS: entry j is the sum of the j-th shares that
-    `split(values[i], N, NEGOTIATION_MODULUS, rngs[i])` would give, in
-    that order, and every generator ends where `split` leaves it.
-
-    Each agent's N-1 drawn shares are one getrandbits integer x, added
-    whole into `total` and as its even words (x & even) into `evens`.
-    With the words paired into 128-bit lanes, `evens` holds the exact
-    even-column sums and (total - evens) >> 64 the exact odd-column sums,
-    each below N * 2**64, so no lane spills into the next. The completing
-    shares sum to sum(values) minus every drawn share, which is
-    sum(values) minus the N-1 column sums.
+    Each agent's accepted draw x is added whole into `total` and as its
+    even words (x & even) into `evens`. With the words paired into 2w-bit
+    lanes, `evens` holds the exact even-column sums and (total - evens)
+    >> w the exact odd-column sums, each below N * 2**w, so no lane spills
+    into the next. A column sum mod `modulus` is that peer's aggregate.
+    The completing shares sum to sum(values) minus the N-1 aggregates.
     """
     n = len(values)
-    if n < 2:
-        raise InvalidPartyCountError(f"need >= 2 parties, got {n}")
     if len(rngs) != n:
         raise InvalidPartyCountError(
             f"{n} values but {len(rngs)} generators")
-    even, words = _lane_constants(n - 1)
+    width, draw, even, low = _draw_rule(modulus, n)
     total = evens = 0
     for rng in rngs:
-        x = rng.getrandbits(64 * (n - 1))
+        x = draw(rng)
         total += x
         evens += x & even
-    odds = (total - evens) >> 64
-    # The low word of each lane is its column sum mod 2**64.
-    columns = (evens & even) | ((odds & even) << 64)
-    aggregates = list(words.unpack(columns.to_bytes(words.size, "little")))
-    aggregates.append((sum(values) - sum(aggregates)) & _WORD)
+    odds = (total - evens) >> width
+    if low:     # modulus divides 2**64: mask each lane's low word
+        columns = (evens & low) | ((odds & low) << 64)
+        aggregates = list(struct.unpack(
+            f"<{n - 1}Q", columns.to_bytes(8 * (n - 1), "little")))
+    else:
+        size = width // 4           # bytes per lane
+        halves = [v.to_bytes(size * (n // 2), "little") for v in (evens, odds)]
+        aggregates = [int.from_bytes(half[i:i + size], "little") % modulus
+                      for i in range(0, len(halves[0]), size)
+                      for half in halves][:n - 1]
+    aggregates.append((sum(values) - sum(aggregates)) % modulus)
     return aggregates
 
 
 @functools.lru_cache(maxsize=16)
-def _lane_constants(k):
-    """For k drawn shares per agent: the mask of the low word of each of
-    the ceil(k/2) 128-bit lanes, and the struct reading k words."""
-    even = int.from_bytes((b"\xff" * 8 + b"\x00" * 8) * ((k + 1) // 2),
-                          "little")
-    return even, struct.Struct(f"<{k}Q")
+def _draw_rule(modulus, n_parties):
+    """(w, draw, even, low) for n_parties-1 shares mod `modulus`: the word
+    width, a function making one agent's accepted draw, the mask of the
+    low word of every 2w-bit lane, and modulus-1 in each of those low
+    words if `modulus` divides 2**64, else 0."""
+    if modulus < 2:
+        raise InvalidParametersError(f"need a modulus >= 2, got {modulus}")
+    if n_parties < 2:
+        raise InvalidPartyCountError(f"need >= 2 parties, got {n_parties}")
+    k = n_parties - 1
+    w = 64
+    while pow(2, w, modulus) > 1 << (w - 32):
+        w += 64
+
+    def spread(word, count, gap=0):     # `word` in slots of w + 8*gap bits
+        return int.from_bytes((word.to_bytes(w // 8, "little") + bytes(gap))
+                              * count, "little")
+
+    bits = w * k
+    excess = spread(pow(2, w, modulus), k)      # 2**w - L in every word
+    carries = spread(1, k) << w                 # the bit above every word
+
+    def draw(rng):
+        # Adding 2**w - L to every word carries out of the lowest word that
+        # is >= L, and out of no word below it.
+        x = rng.getrandbits(bits)
+        while excess and ((x + excess) ^ x ^ excess) & carries:
+            x = rng.getrandbits(bits)
+        return x
+
+    lanes = n_parties // 2
+    low = spread(modulus - 1, lanes, w // 8) if (1 << 64) % modulus == 0 else 0
+    return w, draw, spread((1 << w) - 1, lanes, w // 8), low
 
 
 def reconstruct(shares, modulus, n_parties=None):

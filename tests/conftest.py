@@ -32,14 +32,12 @@ def short_key():
 
 
 class SequenceRng:
-    """Forces the shares `sharing.split` draws over `modulus` (at most 32
-    bits): getrandbits emits each value in the top bits of one 32-bit
-    word, where split reads a candidate, first value lowest."""
+    """Forces the shares `sharing.split` draws over a modulus below 2**32:
+    getrandbits emits each value as one 64-bit word, the word width of
+    such a modulus, first value lowest."""
 
-    def __init__(self, values, modulus):
+    def __init__(self, values):
         self.values = list(values)
-        self.shift = 32 - modulus.bit_length()
 
     def getrandbits(self, k):
-        return sum(self.values.pop(0) << (self.shift + 32 * i)
-                   for i in range(k // 32))
+        return sum(self.values.pop(0) << (64 * i) for i in range(k // 64))

@@ -1,6 +1,10 @@
-"""Smoke test of `perfbench/run.py`: a short `plain` run, untraced and
-traced, ends correct with no failed op. A rename in gridshare that the
-tracer's wrappers depend on fails here rather than in a benchmark run."""
+"""Smoke tests of `perfbench/run.py`: a short `plain` run, untraced and
+traced, and a short traced `detect` run end correct with no failed op.
+A rename in gridshare that the tracer's wrappers depend on fails here
+rather than in a benchmark run. The traced `detect` run also compares
+each traced op's outputs and randomness fingerprint with an untraced
+run of the same op, through the commitment and online share rounds
+that `plain` never makes."""
 
 import json
 import os
@@ -12,13 +16,21 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_perfbench_plain_smoke(trace):
+def _run_perfbench(workload, trace):
     done = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
-         "--workload", "plain", "--seed", "1", "--seconds", "0.5",
+         "--workload", workload, "--seed", "1", "--seconds", "0.5",
          "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] and result["failed"] == 0, done.stdout
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_perfbench_plain_smoke(trace):
+    _run_perfbench("plain", trace)
+
+
+def test_perfbench_detect_traced_smoke():
+    _run_perfbench("detect", 1)

@@ -94,6 +94,17 @@ def test_group_params_parse_rejects_malformed_text(toy_key):
             numtheory.GroupParams.parse(bad)
 
 
+@pytest.mark.parametrize("extra", ["q = 47\n", "zz = 1\n", "q = 11\n"])
+def test_group_params_parse_rejects_duplicate_and_unknown_fields(
+        toy_key, extra):
+    # A repeated field, even with the same value, or an unknown one is an
+    # error rather than last-wins or ignored.
+    with pytest.raises(InvalidParametersError):
+        numtheory.GroupParams.parse(toy_key.serialize() + extra)
+    with pytest.raises(InvalidParametersError):
+        numtheory.GroupParams.parse(extra + toy_key.serialize())
+
+
 def test_broadcast_bits_model(short_key, full_key):
     # The operator broadcasts and stores q, g and h as bits_q-bit values
     # and p as a bits_p-bit value.

@@ -8,12 +8,24 @@ from gridshare import protocol, sharing
 from gridshare.errors import (
     EncodingRangeError,
     IncompleteSharesError,
+    InvalidParametersError,
     InvalidPartyCountError,
 )
 from gridshare.transport import Transcript
 from tests.conftest import SequenceRng
 
 RING = sharing.NEGOTIATION_MODULUS
+P40 = (1 << 40) - 285           # a prime whose shares use 128-bit words
+ODD256 = 3 ** 161               # 256 bits; its shares use 320-bit words
+# Word width w of the draw rule, by hand: the smallest multiple of 64 with
+# 2**w mod m <= 2**(w - 32). Every other modulus here has w = 64.
+WIDTH = {P40: 128, ODD256: 320}
+MODULI = [3, 11, 101, 1 << 19, 886387, (1 << 20) + 7, (1 << 31) + 1,
+          (1 << 32) - 5, P40, ODD256]
+
+
+def _name(value):
+    return "3**161" if value == ODD256 else str(value)
 
 
 def test_encode_hand_values():
@@ -53,7 +65,7 @@ def test_encode_rejects_non_finite():
 
 
 def test_split_forced_randomness():
-    shares = sharing.split(42, 3, 101, SequenceRng([10, 20], 101))
+    shares = sharing.split(42, 3, 101, SequenceRng([10, 20]))
     assert shares == [10, 20, 12]
     assert sum(shares) % 101 == 42
 
@@ -79,16 +91,24 @@ def test_ring_split_is_one_bulk_draw():
     assert shares[:-1] == list(words)
 
 
-def _assert_ring_aggregates_match_split(values, make_rng):
+def _assert_aggregates_match_split(values, make_rng, modulus=RING):
     n = len(values)
     rngs = [make_rng(i) for i in range(n)]
     references = [make_rng(i) for i in range(n)]
-    rows = [sharing.split(v, n, RING, rng)
+    rows = [sharing.split(v, n, modulus, rng)
             for v, rng in zip(values, references)]
-    expected = [sharing.reconstruct(col, RING, n) for col in zip(*rows)]
-    assert sharing.ring_aggregates(values, rngs) == expected
+    expected = [sharing.reconstruct(col, modulus, n) for col in zip(*rows)]
+    assert sharing.share_aggregates(values, rngs, modulus) == expected
     assert ([rng.getstate() for rng in rngs]
             == [rng.getstate() for rng in references])
+
+
+def _assert_aggregates_match_split_for(n, modulus):
+    pick = random.Random(n)
+    for values in ([0] * n, [modulus - 1] * n,
+                   [pick.randrange(modulus) for _ in range(n)]):
+        _assert_aggregates_match_split(
+            values, lambda i: random.Random(f"{n}/{i}"), modulus)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 100, 101, 400])
@@ -96,11 +116,15 @@ def test_ring_aggregates_equal_split_and_reconstruct(n):
     # The lane sums give split's per-peer aggregates from the same draws,
     # and leave every generator where split leaves it. Odd n fills every
     # lane (n - 1 words per draw); even n leaves the top lane half empty.
-    pick = random.Random(n)
-    for values in ([0] * n, [RING - 1] * n,
-                   [pick.randrange(RING) for _ in range(n)]):
-        _assert_ring_aggregates_match_split(
-            values, lambda i: random.Random(f"{n}/{i}"))
+    _assert_aggregates_match_split_for(n, RING)
+
+
+@pytest.mark.parametrize("modulus,n", [
+    *[(m, n) for m in MODULI for n in (2, 3, 4, 5, 100, 101)],
+    (886387, 400)], ids=_name)
+def test_share_aggregates_equal_split_and_reconstruct(modulus, n):
+    # The ring case is test_ring_aggregates_equal_split_and_reconstruct.
+    _assert_aggregates_match_split_for(n, modulus)
 
 
 class SaturatedRng:
@@ -117,24 +141,82 @@ def test_ring_aggregates_saturated_draws():
     # Worst-case column sums, n * (2**64 - 1), must not spill across
     # 128-bit lanes when the odd columns are recovered from the total.
     n = 400
-    _assert_ring_aggregates_match_split([RING - 1] * n,
-                                        lambda i: SaturatedRng())
+    _assert_aggregates_match_split([RING - 1] * n, lambda i: SaturatedRng())
+
+
+class ForcedWordRng:
+    """A seeded generator whose first getrandbits result has word `index`
+    (of `width` bits) replaced by `word`; it records every result."""
+
+    def __init__(self, seed, width, index, word):
+        self.inner = random.Random(seed)
+        self.width, self.index, self.word = width, index, word
+        self.draws = []
+
+    def getrandbits(self, k):
+        x = self.inner.getrandbits(k)
+        if not self.draws:
+            shift = self.width * self.index
+            x &= ~(((1 << self.width) - 1) << shift)
+            x |= self.word << shift
+        self.draws.append(x)
+        return x
+
+    def getstate(self):
+        return self.inner.getstate(), len(self.draws)
+
+
+def _words(x, width, k):
+    return [(x >> (width * j)) & ((1 << width) - 1) for j in range(k)]
+
+
+@pytest.mark.parametrize("modulus", [3, 101, 886387, (1 << 32) - 5, P40,
+                                     ODD256], ids=_name)
+@pytest.mark.parametrize("n", [2, 5, 101])
+def test_draw_with_a_word_at_the_limit_is_redrawn(modulus, n):
+    # L = 2**w - (2**w mod m) is the smallest rejected word: a draw holding
+    # it is redrawn whole, and a draw whose largest word is L - 1 is kept.
+    w = WIDTH.get(modulus, 64)
+    limit = (1 << w) - pow(2, w, modulus)
+    for word, n_draws in ((limit, 2), ((1 << w) - 1, 2), (limit - 1, 1)):
+        rng = ForcedWordRng(f"{modulus}/{n}", w, (n - 1) // 2, word)
+        shares = sharing.split(7, n, modulus, rng)
+        assert len(rng.draws) == n_draws
+        assert shares[:-1] == [v % modulus
+                               for v in _words(rng.draws[-1], w, n - 1)]
+        assert sum(shares) % modulus == 7 % modulus
+        _assert_aggregates_match_split(
+            list(range(n)),
+            lambda i: ForcedWordRng(f"{i}", w, i % (n - 1), word), modulus)
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_ring_aggregates_rejects_fewer_than_two_parties(n):
-    with pytest.raises(InvalidPartyCountError):
-        sharing.ring_aggregates([7] * n, [random.Random(0)] * n)
+    for modulus in (RING, 886387):
+        with pytest.raises(InvalidPartyCountError):
+            sharing.share_aggregates([7] * n, [random.Random(0)] * n, modulus)
 
 
 @pytest.mark.parametrize("n_rngs", [2, 4])
 def test_ring_aggregates_rejects_mismatched_generators(n_rngs):
-    rngs = [random.Random(i) for i in range(n_rngs)]
-    with pytest.raises(InvalidPartyCountError):
-        sharing.ring_aggregates([7, 8, 9], rngs)
-    # Nothing was drawn before the check.
+    for modulus in (RING, 886387):
+        rngs = [random.Random(i) for i in range(n_rngs)]
+        with pytest.raises(InvalidPartyCountError):
+            sharing.share_aggregates([7, 8, 9], rngs, modulus)
+        # Nothing was drawn before the check.
+        assert ([rng.getstate() for rng in rngs]
+                == [random.Random(i).getstate() for i in range(n_rngs)])
+
+
+@pytest.mark.parametrize("modulus", [1, 0, -7])
+def test_modulus_below_two_is_rejected_before_any_draw(modulus):
+    rngs = [random.Random(i) for i in range(3)]
+    with pytest.raises(InvalidParametersError):
+        sharing.split(1, 3, modulus, rngs[0])
+    with pytest.raises(InvalidParametersError):
+        sharing.share_aggregates([1, 2, 3], rngs, modulus)
     assert ([rng.getstate() for rng in rngs]
-            == [random.Random(i).getstate() for i in range(n_rngs)])
+            == [random.Random(i).getstate() for i in range(3)])
 
 
 def _ring_round(values, seed):
@@ -206,17 +288,19 @@ def test_split_reconstruct_round_trip():
 
 
 @pytest.mark.parametrize("p", [3, 101, 1 << 19, 833821, 886387,
-                               (1 << 20) + 7, (1 << 31) + 1, (1 << 32) - 5])
-def test_split_over_p_is_the_randrange_stream(p):
-    # Shares over a modulus of at most 32 bits come from bulk 32-bit
-    # words, yet equal randrange's draws and leave the generator where
-    # randrange would.
+                               (1 << 20) + 7, (1 << 31) + 1, (1 << 32) - 5,
+                               P40, ODD256], ids=_name)
+def test_split_over_p_is_the_word_stream(p):
+    # The n - 1 random shares are the w-bit words of one getrandbits draw,
+    # each reduced mod p, and the generator ends after that one draw (no
+    # word of these seeds reaches the rejection limit).
+    w = WIDTH.get(p, 64)
     for n in (2, 3, 17, 100, 400):
         for seed in range(5):
             rng, reference = random.Random(seed), random.Random(seed)
             shares = sharing.split(seed % p, n, p, rng)
-            assert shares[:-1] == [reference.randrange(p)
-                                   for _ in range(n - 1)]
+            words = _words(reference.getrandbits(w * (n - 1)), w, n - 1)
+            assert shares[:-1] == [v % p for v in words]
             assert rng.getstate() == reference.getstate()
             assert sum(shares) % p == seed % p
 
@@ -230,8 +314,8 @@ def test_signed_round_trip_toy():
 
 def test_two_layer_aggregation_hand_case():
     # Secrets 3 = 1 + 2 and 4 = 3 + 1 over p = 101.
-    rows = [sharing.split(3, 2, 101, SequenceRng([1], 101)),
-            sharing.split(4, 2, 101, SequenceRng([3], 101))]
+    rows = [sharing.split(3, 2, 101, SequenceRng([1])),
+            sharing.split(4, 2, 101, SequenceRng([3]))]
     assert rows == [[1, 2], [3, 1]]
     agg1 = sharing.reconstruct([rows[0][0], rows[1][0]], 101, 2)
     agg2 = sharing.reconstruct([rows[0][1], rows[1][1]], 101, 2)
