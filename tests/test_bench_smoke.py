@@ -4,7 +4,10 @@ A rename in gridshare that the tracer's wrappers depend on fails here
 rather than in a benchmark run. The traced `detect` run also compares
 each traced op's outputs and randomness fingerprint with an untraced
 run of the same op, through the commitment and online share rounds
-that `plain` never makes."""
+that `plain` never makes. The traced `plain` run pins the per-op
+counters that the clearing loop feeds, so a change that stops calling
+`market.agent_step` through the module or merges the per-round price
+broadcasts fails here instead of zeroing a benchmark counter."""
 
 import json
 import os
@@ -25,11 +28,23 @@ def _run_perfbench(workload, trace):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.strip().splitlines()[-1])
     assert result["correct"] and result["failed"] == 0, done.stdout
+    return result
+
+
+# Per-op counters of a traced N=400 worst-case plain slot at seed 1:
+# 400 agents x 100 rounds of agent_step, one price signal per round.
+PLAIN_OP_COUNTS = {"market.agent_step.calls": 40000, "market.rounds": 100,
+                   "sharing.codec.calls": 42101,
+                   "transport.send.calls": 40901}
 
 
 @pytest.mark.parametrize("trace", [0, 1])
 def test_perfbench_plain_smoke(trace):
-    _run_perfbench("plain", trace)
+    result = _run_perfbench("plain", trace)
+    if trace:
+        counts = {name: result["metrics"][name]["value"]
+                  for name in PLAIN_OP_COUNTS}
+        assert counts == PLAIN_OP_COUNTS
 
 
 def test_perfbench_detect_traced_smoke():

@@ -135,3 +135,35 @@ def test_central_clearing_worst_case_runs_full_cap():
     result = market.central_clearing(profiles, config, worst_case=True)
     assert result.status == market.ITERATION_CAP
     assert result.iterations == 20
+
+
+# Unquantized central clearing at N=100 and the default MarketConfig:
+# seed -> ((gamma.hex(), iterations, status) with worst_case False,
+# the same with worst_case True). Seeds 0-4 run to the cap either way;
+# seed 9 converges early unless worst_case forces the full cap. The
+# float sum runs left to right from 0.0, so any change to its order or
+# to compensated summation moves these bits.
+FLOAT_CLEARING = {
+    0: (("0x1.fffdda3c69764p+4", 100, market.ITERATION_CAP),
+        ("0x1.fffdda3c69764p+4", 100, market.ITERATION_CAP)),
+    1: (("0x1.e229e60934c44p+4", 100, market.ITERATION_CAP),
+        ("0x1.e229e60934c44p+4", 100, market.ITERATION_CAP)),
+    2: (("0x1.b806d25f9610fp+4", 100, market.ITERATION_CAP),
+        ("0x1.b806d25f9610fp+4", 100, market.ITERATION_CAP)),
+    3: (("0x1.bf39b436408bap+4", 100, market.ITERATION_CAP),
+        ("0x1.bf39b436408bap+4", 100, market.ITERATION_CAP)),
+    4: (("0x1.db67465ec5163p+4", 100, market.ITERATION_CAP),
+        ("0x1.db67465ec5163p+4", 100, market.ITERATION_CAP)),
+    9: (("0x1.2502e7b5f49c8p+5", 18, market.CONVERGED),
+        ("0x1.d6fca4f3cf65cp+4", 100, market.ITERATION_CAP)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(FLOAT_CLEARING))
+def test_central_clearing_float_path_is_pinned(seed):
+    config = market.MarketConfig()
+    profiles = market.sample_profiles(
+        100, market.random_source(seed, "profiles"))
+    for worst_case, expected in zip((False, True), FLOAT_CLEARING[seed]):
+        r = market.central_clearing(profiles, config, worst_case=worst_case)
+        assert (r.gamma.hex(), r.iterations, r.status) == expected
