@@ -168,35 +168,47 @@ class ClearingResult:
     energies: list = field(default_factory=list)
 
 
+def clearing_rounds(states, config, aggregate, worst_case=False):
+    """The one clearing loop: each round every agent steps at the price,
+    `aggregate` maps the signed trades to the imbalance, and the price
+    moves against it. Yields (k, new gamma, imbalance, status) per round
+    and stops after the first round whose status is not CONTINUE."""
+    gamma, k, status = config.gamma_init, 0, CONTINUE
+    while status == CONTINUE:
+        k += 1
+        for st in states:
+            agent_step(st, gamma, config.zeta)
+        total = aggregate([signed_trade(st) for st in states])
+        gamma_new = update_price(gamma, config.zeta, total)
+        status = check_convergence(gamma_new, gamma, k + 1, config,
+                                   worst_case)
+        gamma = gamma_new
+        yield k, gamma, total, status
+
+
+def _float_sum(trades):
+    # Left to right from 0.0: float sum() is compensated from CPython 3.12.
+    total = 0.0
+    for t in trades:
+        total += t
+    return total
+
+
 def central_clearing(profiles, config, quantize=None, worst_case=False):
-    """Run the clearing loop centrally (no sharing, no transport).
+    """Run `clearing_rounds` centrally (no sharing, no transport) and
+    return its last round.
 
     `quantize` optionally maps each signed trade through the same
     fixed-point quantization the shared pipeline applies, which makes
     the two price trajectories bit-identical.
     """
     states = [AgentState.initial(p) for p in profiles]
-    gamma = config.gamma_init
-    k = 1
-    while True:
-        total = 0.0
-        quantized_sum = 0
-        for st in states:
-            agent_step(st, gamma, config.zeta)
-            if quantize is None:
-                total += signed_trade(st)
-            else:
-                quantized_sum += quantize.encode(signed_trade(st))
-        if quantize is not None:
-            total = quantize.decode(quantized_sum)
-        gamma_new = update_price(gamma, config.zeta, total)
-        status = check_convergence(gamma_new, gamma, k + 1, config,
-                                   worst_case)
-        gamma = gamma_new
-        if status != CONTINUE:
-            return ClearingResult(gamma=gamma, iterations=k, status=status,
-                                  energies=[signed_trade(s) for s in states])
-        k += 1
+    aggregate = _float_sum if quantize is None else (
+        lambda trades: quantize.decode(sum(map(quantize.encode, trades))))
+    *_, (k, gamma, _, status) = clearing_rounds(states, config, aggregate,
+                                                worst_case)
+    return ClearingResult(gamma=gamma, iterations=k, status=status,
+                          energies=[signed_trade(s) for s in states])
 
 
 def random_source(seed, label=""):

@@ -118,38 +118,30 @@ def _share_round(tas, values, modulus, transcript, phase):
 
 def run_negotiation(tas, config, codec, transcript, secure=True,
                     worst_case=False):
-    """Iterative price negotiation; returns (price, rounds, status).
+    """Iterative price negotiation over `market.clearing_rounds`; returns
+    (price, rounds, status).
 
-    In secure mode each round's trades cross the bus as additive shares;
-    in plain mode agents submit their quantized trades directly. Both
+    In secure mode each round's quantized trades cross the bus as
+    additive shares; in plain mode agents submit them directly. Both
     modes apply identical fixed-point quantization, so the price
-    trajectories agree bit for bit.
+    trajectories agree bit for bit. The operator broadcasts each round's
+    price, and an accept notice once the loop stops.
     """
     phase = "negotiation"
-    gamma = config.gamma_init
-    k = 1
-    while True:
-        transcript.broadcast(phase, PRICE_SIGNAL, TO_ID, SCALAR_BITS)
-        trades = []
-        for ta in tas:
-            market.agent_step(ta.state, gamma, config.zeta)
-            trades.append(codec.encode(market.signed_trade(ta.state)))
+
+    def aggregate(trades):
+        encoded = [codec.encode(t) for t in trades]
         if secure:
-            total_enc = _share_round(tas, trades, codec.modulus, transcript,
-                                     phase)
-        else:
-            for ta in tas:
-                transcript.send(phase, AGGREGATE_SUBMIT, ta.id, TO_ID,
-                                SCALAR_BITS)
-            total_enc = sum(trades) % codec.modulus
-        total = codec.decode(total_enc)
-        gamma_new = market.update_price(gamma, config.zeta, total)
-        status = market.check_convergence(gamma_new, gamma, k + 1, config,
-                                          worst_case)
-        gamma = gamma_new
-        if status != market.CONTINUE:
-            break
-        k += 1
+            return codec.decode(_share_round(tas, encoded, codec.modulus,
+                                             transcript, phase))
+        for ta in tas:
+            transcript.send(phase, AGGREGATE_SUBMIT, ta.id, TO_ID,
+                            SCALAR_BITS)
+        return codec.decode(sum(encoded) % codec.modulus)
+
+    for k, gamma, _, status in market.clearing_rounds(
+            [ta.state for ta in tas], config, aggregate, worst_case):
+        transcript.broadcast(phase, PRICE_SIGNAL, TO_ID, SCALAR_BITS)
     transcript.broadcast(phase, ACCEPT_NOTIFY, TO_ID, NOTIFY_BITS)
     return gamma, k, status
 

@@ -6,7 +6,7 @@ storage, detection, and timing figures; 6-9 are property suites. The
 convergence clause of criterion 9 is known not to hold at the default
 step size: the stop rule |delta gamma| < epsilon fires whenever the
 ringing price turns, not only at the equilibrium, so few seeds stop
-within varsigma and those that do stop away from it (ROADMAP item 2).
+within varsigma and those that do stop away from it (ROADMAP item 5).
 Its test reports the non-convergent seeds honestly rather than
 weakening the threshold.
 """
@@ -269,4 +269,4 @@ def test_criterion_9_market_properties():
         f"it turns, so the seeds that stop do so 6.7-22.9% away from the "
         f"equilibrium price, and after varsigma worst-case rounds the "
         f"price is a median 4.7% off. Step-size and stop-rule tuning did "
-        f"not fix this within varsigma; see ROADMAP item 2.")
+        f"not fix this within varsigma; see ROADMAP item 5.")

@@ -1,8 +1,10 @@
+import functools
+import operator
 import random
 
 import pytest
 
-from gridshare import market
+from gridshare import market, sharing
 from gridshare.errors import DegeneratePreferenceError, InvalidConfigError
 
 
@@ -167,3 +169,70 @@ def test_central_clearing_float_path_is_pinned(seed):
     for worst_case, expected in zip((False, True), FLOAT_CLEARING[seed]):
         r = market.central_clearing(profiles, config, worst_case=worst_case)
         assert (r.gamma.hex(), r.iterations, r.status) == expected
+
+
+def _clearing_rounds(seed, config, aggregate, worst_case, check=None):
+    """All rounds of `clearing_rounds` on a seeded N=100 community, and
+    the profiles; `check(states, total)` runs at every yield."""
+    profiles = market.sample_profiles(
+        100, market.random_source(seed, "profiles"))
+    states = [market.AgentState.initial(p) for p in profiles]
+    rounds = []
+    for k, gamma, total, status in market.clearing_rounds(
+            states, config, aggregate, worst_case):
+        if check is not None:
+            check(states, total)
+        rounds.append((k, gamma, total, status))
+    return rounds, profiles
+
+
+@pytest.mark.parametrize("worst_case", [False, True])
+@pytest.mark.parametrize("seed,varsigma", [(0, 100), (9, 100), (9, 30)])
+def test_clearing_rounds_contract(seed, varsigma, worst_case):
+    config = market.MarketConfig(varsigma=varsigma)
+
+    def left_to_right(trades):
+        return functools.reduce(operator.add, trades, 0.0)
+
+    def check(states, total):
+        # The total is this round's: no agent steps again before the yield.
+        assert total == left_to_right(market.signed_trade(s)
+                                      for s in states)
+
+    rounds, profiles = _clearing_rounds(seed, config, left_to_right,
+                                        worst_case, check)
+    ks = [r[0] for r in rounds]
+    statuses = [r[3] for r in rounds]
+    assert ks == list(range(1, len(rounds) + 1))
+    assert statuses[:-1] == [market.CONTINUE] * (len(rounds) - 1)
+    assert statuses[-1] != market.CONTINUE
+    if worst_case:
+        assert len(rounds) == varsigma
+        assert statuses[-1] == market.ITERATION_CAP
+    reference = market.central_clearing(profiles, config,
+                                        worst_case=worst_case)
+    k, gamma, _, status = rounds[-1]
+    assert (gamma, k, status) == (reference.gamma, reference.iterations,
+                                  reference.status)
+
+
+@pytest.mark.parametrize("worst_case", [False, True])
+@pytest.mark.parametrize("seed", [0, 9])
+def test_clearing_rounds_quantized_totals(seed, worst_case):
+    config = market.MarketConfig()
+    codec = sharing.FixedPointCodec(sharing.NEGOTIATION_MODULUS, 10_000)
+
+    def quantized_sum(trades):
+        return codec.decode(sum(codec.encode(t) for t in trades))
+
+    def check(states, total):
+        assert total == codec.decode(
+            sum(codec.encode(market.signed_trade(s)) for s in states))
+
+    rounds, profiles = _clearing_rounds(seed, config, quantized_sum,
+                                        worst_case, check)
+    reference = market.central_clearing(profiles, config, quantize=codec,
+                                        worst_case=worst_case)
+    k, gamma, _, status = rounds[-1]
+    assert (gamma, k, status) == (reference.gamma, reference.iterations,
+                                  reference.status)
