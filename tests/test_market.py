@@ -171,7 +171,7 @@ def test_central_clearing_float_path_is_pinned(seed):
         assert (r.gamma.hex(), r.iterations, r.status) == expected
 
 
-def _clearing_rounds(seed, config, aggregate, worst_case, check=None):
+def _clearing_rounds(seed, config, aggregate, worst_case, check):
     """All rounds of `clearing_rounds` on a seeded N=100 community, and
     the profiles; `check(states, total)` runs at every yield."""
     profiles = market.sample_profiles(
@@ -180,8 +180,7 @@ def _clearing_rounds(seed, config, aggregate, worst_case, check=None):
     rounds = []
     for k, gamma, total, status in market.clearing_rounds(
             states, config, aggregate, worst_case):
-        if check is not None:
-            check(states, total)
+        check(states, total)
         rounds.append((k, gamma, total, status))
     return rounds, profiles
 
@@ -226,8 +225,7 @@ def test_clearing_rounds_quantized_totals(seed, worst_case):
         return codec.decode(sum(codec.encode(t) for t in trades))
 
     def check(states, total):
-        assert total == codec.decode(
-            sum(codec.encode(market.signed_trade(s)) for s in states))
+        assert total == quantized_sum(market.signed_trade(s) for s in states)
 
     rounds, profiles = _clearing_rounds(seed, config, quantized_sum,
                                         worst_case, check)
