@@ -1,6 +1,9 @@
 """Golden report digests: a fixed N=10 report matrix and a small
 detection experiment must each hash to a pinned value, so a change that
 means to keep every reported number identical can show that it did.
+Additive sharing hides every share from the reports, so a third pin
+fingerprints where each agent's generator ends, which a share round that
+drew different randomness would move.
 
 A change that moves these numbers on purpose updates the digest and
 says why in CHANGES.md.
@@ -10,7 +13,7 @@ import dataclasses
 import hashlib
 import json
 
-from gridshare import harness, protocol
+from gridshare import harness, market, protocol
 
 GOLDEN_SHA256 = (
     "cb1f46941dd083abd2ba02b9ec2be5bbefa91872c0a62009f410456d4529476f")
@@ -70,3 +73,32 @@ def test_detection_summary_digest():
     text = json.dumps(dataclasses.asdict(summary), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         GOLDEN_DETECTION_SHA256
+
+
+# Generators made through market.random_source: a secure N=10 worst-case
+# slot with forced reveals under the full key, then a detection experiment
+# at N=30 (3 runs of 3 targets): 12 generators in the slot (profiles, 10
+# agents, adversary) and 125 in the experiment. Hashes each one's next
+# getrandbits(64).
+GOLDEN_GENERATORS_SHA256 = (
+    "67bde4438144b184bb8742500c19458347178c2a39c043eb213679c60646b6bd")
+
+
+def test_generator_end_states_digest(full_key, monkeypatch):
+    made = []
+    original = market.random_source
+
+    def recording(*args, **kwargs):
+        rng = original(*args, **kwargs)
+        made.append(rng)
+        return rng
+    monkeypatch.setattr(market, "random_source", recording)
+    harness.run_scenario(harness.ScenarioConfig(
+        n_tas=10, worst_case=True, force_reveal=True), ck=full_key)
+    harness.detection_experiment(
+        harness.ScenarioConfig(n_tas=30, mr_rounds=64), n_targets=3,
+        n_runs=3)
+    assert len(made) == 137
+    draws = b"".join(rng.getrandbits(64).to_bytes(8, "little")
+                     for rng in made)
+    assert hashlib.sha256(draws).hexdigest() == GOLDEN_GENERATORS_SHA256
