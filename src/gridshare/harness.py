@@ -457,8 +457,8 @@ _FIELD_PARSERS = {name: _PARSERS[hint] for name, hint
 
 
 def parse_scenario_file(text):
-    """Line-oriented key = value scenario description; unknown keys and
-    malformed values are rejected."""
+    """Line-oriented key = value scenario description; unknown and
+    repeated keys and malformed values are rejected."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -470,6 +470,8 @@ def parse_scenario_file(text):
             raise InvalidConfigError(f"line {lineno}: expected 'key = value'")
         if key not in _FIELD_PARSERS:
             raise InvalidConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise InvalidConfigError(f"line {lineno}: repeated key {key!r}")
         try:
             values[key] = _FIELD_PARSERS[key](value)
         except (ValueError, KeyError):

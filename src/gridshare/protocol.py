@@ -99,21 +99,19 @@ def _share_round(tas, values, modulus, transcript, phase):
     peers, then submits the sum of the N shares it received (own kept
     share included) to the operator. Returns the operator-side total.
 
-    `sharing.share_aggregates` draws every agent's shares and sums them
-    per peer, over the negotiation ring and over p alike, with one add
-    and one mask per agent, no N x N share table and no per-agent row
-    sum. It gives the per-peer aggregates of `split` and `reconstruct`,
-    which stay the reference.
+    `sharing.share_total` makes every agent's draw, over the negotiation
+    ring and over p alike, and returns that total, which the completing
+    shares fix at the sum of the values. `split` and `reconstruct` stay
+    the reference for the shares and aggregates themselves.
     """
     n = len(tas)
-    aggregates = sharing.share_aggregates(values, [ta.rng for ta in tas],
-                                          modulus)
+    total = sharing.share_total(values, [ta.rng for ta in tas], modulus)
     for ta in tas:
         transcript.send(phase, SHARE_TRANSFER, ta.id, "PEERS",
                         SCALAR_BITS * (n - 1))
     for ta in tas:
         transcript.send(phase, AGGREGATE_SUBMIT, ta.id, TO_ID, SCALAR_BITS)
-    return sharing.reconstruct(aggregates, modulus, n)
+    return total
 
 
 def run_negotiation(tas, config, codec, transcript, secure=True,

@@ -11,16 +11,16 @@ m, so every share is exactly uniform over Z_m. Over the ring no word is
 ever rejected and a share is its word.
 
 `split` and `reconstruct` are the reference: one agent's shares, and one
-sum of shares. A round runs through `share_aggregates`, which makes the
-same draws and costs one add and one mask per agent: column sums come
-out of 2w-bit lanes of two running ints, so no N x N share table is
-built and no agent's row is summed.
+sum of shares. A round runs through `share_total`, which makes every
+agent's draw and returns the sum of the values mod m. Each agent's
+completing share closes its row, so the per-peer aggregates always add
+up to that sum, whatever was drawn; the draws still fix every later draw
+from the same generators.
 """
 
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass
 
 from .errors import (
@@ -92,9 +92,9 @@ def split(secret, n_parties, modulus, rng):
 
     The first n_parties-1 shares are the w-bit words of one accepted draw
     (the module docstring's rule), each reduced mod `modulus`; the last
-    completes the sum. It is the reference for `share_aggregates`.
+    completes the sum. `share_total` makes the same draw.
     """
-    width, draw, _, _ = _draw_rule(modulus, n_parties)
+    width, draw = _draw_rule(modulus, n_parties)
     x = draw(rng)
     mask = (1 << width) - 1
     shares = [((x >> (width * j)) & mask) % modulus
@@ -103,50 +103,27 @@ def split(secret, n_parties, modulus, rng):
     return shares
 
 
-def share_aggregates(values, rngs, modulus):
-    """Per-peer aggregates of one (N,N) sharing round mod `modulus`:
-    entry j is the sum of the j-th shares that
-    `split(values[i], N, modulus, rngs[i])` would give, in that order,
-    and every generator ends where `split` leaves it.
-
-    Each agent's accepted draw x is added whole into `total` and as its
-    even words (x & even) into `evens`. With the words paired into 2w-bit
-    lanes, `evens` holds the exact even-column sums and (total - evens)
-    >> w the exact odd-column sums, each below N * 2**w, so no lane spills
-    into the next. A column sum mod `modulus` is that peer's aggregate.
-    The completing shares sum to sum(values) minus the N-1 aggregates.
+def share_total(values, rngs, modulus):
+    """Operator-side total of one (N,N) sharing round mod `modulus`:
+    the sum of the N per-peer aggregates of
+    `split(values[i], N, modulus, rngs[i])`, which is sum(values) mod
+    `modulus` whatever the shares are. Every agent still makes its
+    accepted draw, so every generator ends where `split` leaves it.
     """
     n = len(values)
     if len(rngs) != n:
         raise InvalidPartyCountError(
             f"{n} values but {len(rngs)} generators")
-    width, draw, even, low = _draw_rule(modulus, n)
-    total = evens = 0
+    _, draw = _draw_rule(modulus, n)
     for rng in rngs:
-        x = draw(rng)
-        total += x
-        evens += x & even
-    odds = (total - evens) >> width
-    if low:     # modulus divides 2**64: mask each lane's low word
-        columns = (evens & low) | ((odds & low) << 64)
-        aggregates = list(struct.unpack(
-            f"<{n - 1}Q", columns.to_bytes(8 * (n - 1), "little")))
-    else:
-        size = width // 4           # bytes per lane
-        halves = [v.to_bytes(size * (n // 2), "little") for v in (evens, odds)]
-        aggregates = [int.from_bytes(half[i:i + size], "little") % modulus
-                      for i in range(0, len(halves[0]), size)
-                      for half in halves][:n - 1]
-    aggregates.append((sum(values) - sum(aggregates)) % modulus)
-    return aggregates
+        draw(rng)
+    return sum(values) % modulus
 
 
 @functools.lru_cache(maxsize=16)
 def _draw_rule(modulus, n_parties):
-    """(w, draw, even, low) for n_parties-1 shares mod `modulus`: the word
-    width, a function making one agent's accepted draw, the mask of the
-    low word of every 2w-bit lane, and modulus-1 in each of those low
-    words if `modulus` divides 2**64, else 0."""
+    """(w, draw) for n_parties-1 shares mod `modulus`: the word width and
+    a function making one agent's accepted draw."""
     if modulus < 2:
         raise InvalidParametersError(f"need a modulus >= 2, got {modulus}")
     if n_parties < 2:
@@ -156,13 +133,12 @@ def _draw_rule(modulus, n_parties):
     while pow(2, w, modulus) > 1 << (w - 32):
         w += 64
 
-    def spread(word, count, gap=0):     # `word` in slots of w + 8*gap bits
-        return int.from_bytes((word.to_bytes(w // 8, "little") + bytes(gap))
-                              * count, "little")
+    def spread(word):       # `word` in each of the k w-bit slots
+        return int.from_bytes(word.to_bytes(w // 8, "little") * k, "little")
 
     bits = w * k
-    excess = spread(pow(2, w, modulus), k)      # 2**w - L in every word
-    carries = spread(1, k) << w                 # the bit above every word
+    excess = spread(pow(2, w, modulus))     # 2**w - L in every word
+    carries = spread(1) << w                # the bit above every word
 
     def draw(rng):
         # Adding 2**w - L to every word carries out of the lowest word that
@@ -172,13 +148,13 @@ def _draw_rule(modulus, n_parties):
             x = rng.getrandbits(bits)
         return x
 
-    lanes = n_parties // 2
-    low = spread(modulus - 1, lanes, w // 8) if (1 << 64) % modulus == 0 else 0
-    return w, draw, spread((1 << w) - 1, lanes, w // 8), low
+    return w, draw
 
 
 def reconstruct(shares, modulus, n_parties=None):
     """Sum of all N shares mod `modulus`; every share is required."""
+    if modulus < 2:
+        raise InvalidParametersError(f"need a modulus >= 2, got {modulus}")
     if n_parties is not None and len(shares) != n_parties:
         raise IncompleteSharesError(
             f"expected {n_parties} shares, got {len(shares)}")

@@ -76,11 +76,13 @@ def test_scenario_file_round_trip():
 
 
 def test_scenario_file_rejects_garbage():
-    # Only beta, the one optional float, accepts "none".
+    # Only beta, the one optional float, accepts "none". A repeated key
+    # would silently replace the first value.
     for text in ("n_tas", "frobnicate = 3", "n_tas = many",
                  "worst_case = maybe", "zeta = none", "sigma_frac = none",
                  "n_tas = none", "worst_case = none",
-                 "balance_constrained = true"):
+                 "balance_constrained = true", "n_tas = 4\nn_tas = 6",
+                 "beta = none\nbeta = 1.5"):
         with pytest.raises(InvalidConfigError):
             harness.parse_scenario_file(text)
 

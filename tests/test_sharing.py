@@ -91,32 +91,32 @@ def test_ring_split_is_one_bulk_draw():
     assert shares[:-1] == list(words)
 
 
-def _assert_aggregates_match_split(values, make_rng, modulus=RING):
+def _assert_total_matches_split(values, make_rng, modulus=RING):
+    # share_total is the reconstruct of split's per-peer aggregates, and
+    # leaves every generator where split leaves it.
     n = len(values)
     rngs = [make_rng(i) for i in range(n)]
     references = [make_rng(i) for i in range(n)]
     rows = [sharing.split(v, n, modulus, rng)
             for v, rng in zip(values, references)]
-    expected = [sharing.reconstruct(col, modulus, n) for col in zip(*rows)]
-    assert sharing.share_aggregates(values, rngs, modulus) == expected
+    aggregates = [sharing.reconstruct(col, modulus, n) for col in zip(*rows)]
+    assert (sharing.share_total(values, rngs, modulus)
+            == sharing.reconstruct(aggregates, modulus, n))
     assert ([rng.getstate() for rng in rngs]
             == [rng.getstate() for rng in references])
 
 
-def _assert_aggregates_match_split_for(n, modulus):
+def _assert_total_matches_split_for(n, modulus):
     pick = random.Random(n)
     for values in ([0] * n, [modulus - 1] * n,
                    [pick.randrange(modulus) for _ in range(n)]):
-        _assert_aggregates_match_split(
+        _assert_total_matches_split(
             values, lambda i: random.Random(f"{n}/{i}"), modulus)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 100, 101, 400])
 def test_ring_aggregates_equal_split_and_reconstruct(n):
-    # The lane sums give split's per-peer aggregates from the same draws,
-    # and leave every generator where split leaves it. Odd n fills every
-    # lane (n - 1 words per draw); even n leaves the top lane half empty.
-    _assert_aggregates_match_split_for(n, RING)
+    _assert_total_matches_split_for(n, RING)
 
 
 @pytest.mark.parametrize("modulus,n", [
@@ -124,7 +124,7 @@ def test_ring_aggregates_equal_split_and_reconstruct(n):
     (886387, 400)], ids=_name)
 def test_share_aggregates_equal_split_and_reconstruct(modulus, n):
     # The ring case is test_ring_aggregates_equal_split_and_reconstruct.
-    _assert_aggregates_match_split_for(n, modulus)
+    _assert_total_matches_split_for(n, modulus)
 
 
 class SaturatedRng:
@@ -138,10 +138,9 @@ class SaturatedRng:
 
 
 def test_ring_aggregates_saturated_draws():
-    # Worst-case column sums, n * (2**64 - 1), must not spill across
-    # 128-bit lanes when the odd columns are recovered from the total.
+    # Every drawn share is 2**64 - 1, the largest the ring allows.
     n = 400
-    _assert_aggregates_match_split([RING - 1] * n, lambda i: SaturatedRng())
+    _assert_total_matches_split([RING - 1] * n, lambda i: SaturatedRng())
 
 
 class ForcedWordRng:
@@ -185,7 +184,7 @@ def test_draw_with_a_word_at_the_limit_is_redrawn(modulus, n):
         assert shares[:-1] == [v % modulus
                                for v in _words(rng.draws[-1], w, n - 1)]
         assert sum(shares) % modulus == 7 % modulus
-        _assert_aggregates_match_split(
+        _assert_total_matches_split(
             list(range(n)),
             lambda i: ForcedWordRng(f"{i}", w, i % (n - 1), word), modulus)
 
@@ -194,7 +193,7 @@ def test_draw_with_a_word_at_the_limit_is_redrawn(modulus, n):
 def test_ring_aggregates_rejects_fewer_than_two_parties(n):
     for modulus in (RING, 886387):
         with pytest.raises(InvalidPartyCountError):
-            sharing.share_aggregates([7] * n, [random.Random(0)] * n, modulus)
+            sharing.share_total([7] * n, [random.Random(0)] * n, modulus)
 
 
 @pytest.mark.parametrize("n_rngs", [2, 4])
@@ -202,7 +201,7 @@ def test_ring_aggregates_rejects_mismatched_generators(n_rngs):
     for modulus in (RING, 886387):
         rngs = [random.Random(i) for i in range(n_rngs)]
         with pytest.raises(InvalidPartyCountError):
-            sharing.share_aggregates([7, 8, 9], rngs, modulus)
+            sharing.share_total([7, 8, 9], rngs, modulus)
         # Nothing was drawn before the check.
         assert ([rng.getstate() for rng in rngs]
                 == [random.Random(i).getstate() for i in range(n_rngs)])
@@ -214,7 +213,10 @@ def test_modulus_below_two_is_rejected_before_any_draw(modulus):
     with pytest.raises(InvalidParametersError):
         sharing.split(1, 3, modulus, rngs[0])
     with pytest.raises(InvalidParametersError):
-        sharing.share_aggregates([1, 2, 3], rngs, modulus)
+        sharing.share_total([1, 2, 3], rngs, modulus)
+    # Not a sum mod 0 (ZeroDivisionError) or a negative one mod -7.
+    with pytest.raises(InvalidParametersError):
+        sharing.reconstruct([1, 2], modulus)
     assert ([rng.getstate() for rng in rngs]
             == [random.Random(i).getstate() for i in range(3)])
 
