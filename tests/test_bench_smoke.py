@@ -1,5 +1,6 @@
 """Smoke tests of `perfbench/run.py`: a short `plain` run, untraced and
-traced, and a short traced `detect` run end correct with no failed op.
+traced, and short traced `slot` and `detect` runs end correct with no
+failed op.
 A rename in gridshare that the tracer's wrappers depend on fails here
 rather than in a benchmark run. The traced `detect` run also compares
 each traced op's outputs and randomness fingerprint with an untraced
@@ -7,7 +8,10 @@ run of the same op, through the commitment and online share rounds
 that `plain` never makes. The traced `plain` run pins the per-op
 counters that the clearing loop feeds, so a change that stops calling
 `market.agent_step` through the module or merges the per-round price
-broadcasts fails here instead of zeroing a benchmark counter."""
+broadcasts fails here instead of zeroing a benchmark counter. The
+traced `slot` run pins the same counters for a secure slot, with its
+share rounds, so a change that calls `protocol._share_round` other than
+through the module fails here too."""
 
 import json
 import os
@@ -38,13 +42,28 @@ PLAIN_OP_COUNTS = {"market.agent_step.calls": 40000, "market.rounds": 100,
                    "transport.send.calls": 40901}
 
 
+# Per-op counters of a traced N=400 worst-case secure slot at seed 1:
+# 100 negotiation share rounds, two commitment rounds and one online.
+SLOT_OP_COUNTS = {"protocol.share_round.calls": 103,
+                  "market.agent_step.calls": 40000,
+                  "sharing.codec.calls": 42502,
+                  "transport.send.calls": 83304}
+
+
+def _counts(result, expected):
+    return {name: result["metrics"][name]["value"] for name in expected}
+
+
 @pytest.mark.parametrize("trace", [0, 1])
 def test_perfbench_plain_smoke(trace):
     result = _run_perfbench("plain", trace)
     if trace:
-        counts = {name: result["metrics"][name]["value"]
-                  for name in PLAIN_OP_COUNTS}
-        assert counts == PLAIN_OP_COUNTS
+        assert _counts(result, PLAIN_OP_COUNTS) == PLAIN_OP_COUNTS
+
+
+def test_perfbench_slot_traced_smoke():
+    result = _run_perfbench("slot", 1)
+    assert _counts(result, SLOT_OP_COUNTS) == SLOT_OP_COUNTS
 
 
 def test_perfbench_detect_traced_smoke():
