@@ -182,9 +182,10 @@ def _timed(timings, phase):
 
 def _run_head(report, ck=None):
     """The adversary-independent start of a slot: in secure mode, accept
-    a key (`ck` if given, else a generated one); then negotiate and store
-    the forecasts. Fills the report's key, price and timings, and returns
-    the agents, the operator and the slot codec."""
+    a key (`ck` if given, which must have the config's bits_p and bits_q,
+    else a generated one); then negotiate and store the forecasts. Fills
+    the report's key, price and timings, and returns the agents, the
+    operator and the slot codec."""
     config, transcript = report.config, report.transcript
     secure = config.mode == "secure"
     tas = build_agents(config)
@@ -203,6 +204,12 @@ def _run_head(report, ck=None):
             else:
                 protocol.log_key_broadcast(ck, transcript)
             ck.check_generators()
+            if (ck.bits_p, ck.bits_q) != (config.bits_p,
+                                          config.bits_p + config.bits_b):
+                raise InvalidConfigError(
+                    f"the key has bits_p={ck.bits_p}, bits_q={ck.bits_q}; "
+                    f"the config needs {config.bits_p} and "
+                    f"{config.bits_p + config.bits_b}")
         to.ck = report.ck = ck
         slot_codec = sharing.FixedPointCodec(ck.p, config.scale)
     with _timed(report.timings, "negotiation"):
@@ -228,10 +235,9 @@ def _run_tail(report, tas, to, slot_codec, adversary, adversary_rng,
     secure = config.mode == "secure"
     with _timed(report.timings, "commitment"):
         if secure:
-            openings = protocol.run_commitment(tas, to, slot_codec,
-                                               transcript)
+            openings = protocol.run_commitment(tas, to, transcript)
         else:
-            protocol.run_commitment_plain(tas, transcript)
+            protocol.run_commitment_plain(tas, slot_codec, transcript)
     report.check_result = "accept"
     if secure:
         with _timed(report.timings, "commitment_check"):
@@ -322,10 +328,15 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
     with a non-negligible trade, since scaling a zero value changes
     nothing observable.
     """
-    if base_config.mode != "secure" or base_config.force_reveal:
+    c = base_config
+    if (c.mode != "secure" or c.force_reveal or c.beta is not None
+            or c.adversary or (c.sigma_frac, c.sigma_floor)
+            != (ScenarioConfig.sigma_frac, ScenarioConfig.sigma_floor)):
         raise InvalidConfigError(
-            "the detection experiment runs secure slots with its own reveal "
-            "rule; plain mode and force_reveal do not apply")
+            "the detection experiment runs secure slots with its own "
+            "adversary, thresholds and reveal rule; plain mode, "
+            "force_reveal, beta, sigma_frac, sigma_floor and adversary do "
+            "not apply")
     if not 0 <= n_targets <= base_config.n_tas:
         raise InvalidConfigError(f"need 0 <= n_targets <= {base_config.n_tas}")
     if n_runs < 1:

@@ -3,7 +3,9 @@
 One slot runs negotiation -> key generation (or key reuse) ->
 commitment -> commitment check -> online over an in-memory bus with
 bit-exact size accounting. A plain variant skips sharing and
-commitments to form the no-security baseline.
+commitments to form the no-security baseline. Every per-agent value
+reaches the operator through one plain round, in which each agent
+submits one scalar; a secure round is that plain round plus sharing.
 """
 
 from __future__ import annotations
@@ -92,16 +94,23 @@ class Operator:
         self.E_total = None        # encoded aggregate, mod group order
 
 
-def _share_round(tas, values, modulus, transcript, phase):
-    """One full share-distribute-aggregate round.
+def _plain_round(tas, values, modulus, transcript, phase):
+    """One value per agent to the operator: every agent submits its value
+    as one scalar, and the operator's total is their sum mod `modulus`."""
+    for ta in tas:
+        transcript.send(phase, AGGREGATE_SUBMIT, ta.id, TO_ID, SCALAR_BITS)
+    return sum(values) % modulus
 
-    Every agent splits its value into N shares, sends N-1 of them to its
-    peers, then submits the sum of the N shares it received (own kept
-    share included) to the operator. Returns the operator-side total.
+
+def _share_round(tas, values, modulus, transcript, phase):
+    """The plain round plus sharing: every agent first splits its value
+    into N shares and sends N-1 of them to its peers, then submits in the
+    plain round the sum of the N shares it received (own kept share
+    included). Returns the operator-side total.
 
     `sharing.share_total` makes every agent's draw, over the negotiation
     ring and over p alike, and returns that total, which the completing
-    shares fix at the sum of the values. `split` and `reconstruct` stay
+    shares fix at the plain round's sum. `split` and `reconstruct` stay
     the reference for the shares and aggregates themselves.
     """
     n = len(tas)
@@ -109,8 +118,7 @@ def _share_round(tas, values, modulus, transcript, phase):
     for ta in tas:
         transcript.send(phase, SHARE_TRANSFER, ta.id, "PEERS",
                         SCALAR_BITS * (n - 1))
-    for ta in tas:
-        transcript.send(phase, AGGREGATE_SUBMIT, ta.id, TO_ID, SCALAR_BITS)
+    _plain_round(tas, values, modulus, transcript, phase)
     return total
 
 
@@ -126,16 +134,12 @@ def run_negotiation(tas, config, codec, transcript, secure=True,
     price, and an accept notice once the loop stops.
     """
     phase = "negotiation"
+    to_operator = _share_round if secure else _plain_round
 
     def aggregate(trades):
-        encoded = [codec.encode(t) for t in trades]
-        if secure:
-            return codec.decode(_share_round(tas, encoded, codec.modulus,
-                                             transcript, phase))
-        for ta in tas:
-            transcript.send(phase, AGGREGATE_SUBMIT, ta.id, TO_ID,
-                            SCALAR_BITS)
-        return codec.decode(sum(encoded) % codec.modulus)
+        return codec.decode(to_operator(
+            tas, [codec.encode(t) for t in trades], codec.modulus,
+            transcript, phase))
 
     for k, gamma, _, status in market.clearing_rounds(
             [ta.state for ta in tas], config, aggregate, worst_case):
@@ -178,12 +182,11 @@ def log_key_broadcast(ck, transcript):
     transcript.store(TO_ID, "keygen", bits)
 
 
-def run_commitment(tas, to, slot_codec, transcript):
+def run_commitment(tas, to, transcript):
     """Each agent commits to its forecast and shares (E_n, r_n); the
     aggregated openings and the commitment go to the operator."""
     phase = "commitment"
     ck = to.ck
-    n = len(tas)
     commitments = []
     for ta in tas:
         if ta.E_n is None:
@@ -225,8 +228,9 @@ def _encode_projected(slot_codec, kwh, bound):
 
 
 def _encode_actual(slot_codec, kwh):
-    """Encode a meter reading projected onto the field's range: a reading
-    beyond it is flagged at the bound instead of aborting the slot."""
+    """Encode a meter reading or a perturbed reveal projected onto the
+    field's range: a value beyond it is flagged at the bound instead of
+    aborting the slot."""
     return _encode_projected(slot_codec, kwh, slot_codec.max_magnitude)
 
 
@@ -276,27 +280,26 @@ def run_online_plain(tas, slot_codec, transcript, sigma_policy):
     """Baseline online phase: actuals travel in the clear; deviation is
     checked per agent with no commitment verification."""
     phase = "online"
-    report = DetectionReport()
-    total = 0
-    for ta in tas:
-        e_enc = _encode_actual(slot_codec, ta.e_actual)
-        transcript.send(phase, AGGREGATE_SUBMIT, ta.id, TO_ID, SCALAR_BITS)
+    actuals_enc = [_encode_actual(slot_codec, ta.e_actual) for ta in tas]
+    e_total = _plain_round(tas, actuals_enc, slot_codec.modulus, transcript,
+                           phase)
+    report = DetectionReport(e_total=slot_codec.decode(e_total))
+    for ta, e_enc in zip(tas, actuals_enc):
         transcript.store(ta.id, phase, SCALAR_BITS)
-        total = (total + e_enc) % slot_codec.modulus
         if _deviates(slot_codec, ta.E_n, e_enc, sigma_policy):
             report.t_m_list.add(ta.profile.index)
-    report.e_total = slot_codec.decode(total)
     return report
 
 
-def run_commitment_plain(tas, transcript):
+def run_commitment_plain(tas, slot_codec, transcript):
     """Baseline forecast submission: each agent sends its quantized
     forecast directly and the operator stores it."""
     phase = "commitment"
     for ta in tas:
         if ta.E_n is None:
             raise LifecycleError(f"{ta.id} has no stored forecast")
-        transcript.send(phase, AGGREGATE_SUBMIT, ta.id, TO_ID, SCALAR_BITS)
+    _plain_round(tas, [ta.E_n for ta in tas], slot_codec.modulus,
+                 transcript, phase)
     transcript.store(TO_ID, phase, len(tas) * SCALAR_BITS)
 
 
@@ -325,8 +328,8 @@ def apply_adversary(scenarios, tas, slot_codec, rng):
                         != _encode_actual(slot_codec, honest)):
                     effective[idx] = E_FIELD
             elif sc.target_field == FORECAST_FIELD:
-                perturbed = slot_codec.encode(
-                    slot_codec.decode(ta.E_n) * factor)
+                perturbed = _encode_actual(
+                    slot_codec, slot_codec.decode(ta.E_n) * factor)
                 ta.reveal_E = perturbed
                 if perturbed != ta.E_n:
                     effective[idx] = FORECAST_FIELD

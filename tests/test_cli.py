@@ -75,7 +75,8 @@ def test_detect_subcommand(capsys):
 
 
 def test_detect_rejects_ignored_flags(capsys):
-    for flags in (["--mode", "plain"], ["--force-reveal"]):
+    for flags in (["--mode", "plain"], ["--force-reveal"],
+                  ["--beta", "1000"]):
         code = cli.main(["detect", "--n-tas", "30", "--runs", "2",
                          "--targets", "3", "--mr-rounds", MR, *flags])
         assert code == 2

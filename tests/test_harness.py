@@ -1,8 +1,9 @@
 import dataclasses
+import random
 
 import pytest
 
-from gridshare import harness, market, pedersen, protocol
+from gridshare import harness, market, numtheory, pedersen, protocol
 from gridshare.errors import (
     AsymmetricTranscriptError,
     InvalidConfigError,
@@ -107,6 +108,23 @@ def test_rejected_commitment_check_aborts_slot(monkeypatch, full_key):
     monkeypatch.setattr(pedersen, "product", off_by_one)
     with pytest.raises(ProtocolAbortError, match="rejected"):
         harness.run_scenario(_config(), ck=full_key)
+
+
+def test_supplied_key_must_match_the_config_sizes(monkeypatch, short_key):
+    # Under the default 20+1000-bit config a 20+100-bit key ran and
+    # reported its own 0.0464 KB broadcast; a 12+12-bit key ran all of
+    # negotiation, then its field could not encode a forecast.
+    small = numtheory.generate_group_params(12, 12, random.Random(7),
+                                            rounds=TEST_MR_ROUNDS)
+
+    def no_negotiation(*args, **kwargs):
+        raise AssertionError("negotiation ran")
+
+    monkeypatch.setattr(protocol, "run_negotiation", no_negotiation)
+    for key in (short_key, small):
+        with pytest.raises(InvalidConfigError):
+            harness.run_scenario(harness.ScenarioConfig(n_tas=4, varsigma=5),
+                                 ck=key)
 
 
 def test_run_scenario_secure_report_shape():
@@ -245,8 +263,9 @@ def test_detection_experiment_rejects_impossible_targets():
 
 def test_detection_experiment_rejects_bad_settings_before_the_head(
         monkeypatch):
-    # Plain mode and force_reveal would be overridden by the experiment's
-    # own secure slots and audit rule; a bad perturbation range (an
+    # Plain mode, force_reveal, beta, the sigma settings and an adversary
+    # would be overridden by the experiment's own secure slots, thresholds,
+    # targets and audit rule; a bad perturbation range (an
     # infinite bound would report the projected ring bound as the slot's
     # aggregate) would surface only at the first run's adversary, after
     # the slot head.
@@ -255,8 +274,13 @@ def test_detection_experiment_rejects_bad_settings_before_the_head(
 
     monkeypatch.setattr(harness, "_run_head", no_head)
     inf, nan = float("inf"), float("nan")
+    e_n = protocol.AdversaryScenario((0,), protocol.E_FIELD)
     for overrides, perturb_range in ((dict(mode="plain"), (0.05, 0.10)),
                                      (dict(force_reveal=True), (0.05, 0.10)),
+                                     (dict(beta=1000.0), (0.05, 0.10)),
+                                     (dict(sigma_frac=0.9), (0.05, 0.10)),
+                                     (dict(sigma_floor=50.0), (0.05, 0.10)),
+                                     (dict(adversary=(e_n,)), (0.05, 0.10)),
                                      ({}, (-0.1, 0.1)), ({}, (0.1, 0.05)),
                                      ({}, (0.05, inf)), ({}, (nan, 0.1))):
         with pytest.raises(InvalidConfigError):

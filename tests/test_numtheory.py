@@ -107,11 +107,12 @@ def test_group_params_parse_rejects_duplicate_and_unknown_fields(
 
 def test_broadcast_bits_model(short_key, full_key):
     # The operator broadcasts and stores q, g and h as bits_q-bit values
-    # and p as a bits_p-bit value.
+    # and p as a bits_p-bit value, under a config of the key's sizes.
     assert full_key.bits_q == 1020
     assert full_key.bits_p == 20
     for ck in (short_key, full_key):
-        report = harness.run_scenario(harness.ScenarioConfig(n_tas=4), ck=ck)
+        report = harness.run_scenario(harness.ScenarioConfig(
+            n_tas=4, bits_b=ck.bits_q - ck.bits_p), ck=ck)
         key_bits = 3 * ck.bits_q + ck.bits_p
         assert report.traffic_kb["keygen"]["TO"] * 8 * 1024 == key_bits
         assert report.storage_kb["keygen"]["TO"] * 8 * 1024 == key_bits

@@ -18,10 +18,12 @@ def test_commit_reduces_exponents(toy_key):
 
 def test_commit_bits_matches_key(short_key, full_key):
     # Each agent sends its commitment as one bits_q-bit value, beside the
-    # two 32-bit share rounds of E_n and r_n.
+    # two 32-bit share rounds of E_n and r_n. A supplied key must have the
+    # config's sizes.
     n = 4
     for ck in (short_key, full_key):
-        report = harness.run_scenario(harness.ScenarioConfig(n_tas=n), ck=ck)
+        report = harness.run_scenario(harness.ScenarioConfig(
+            n_tas=n, bits_b=ck.bits_q - ck.bits_p), ck=ck)
         assert report.traffic_kb["commitment"]["TA"] * 8 * 1024 == \
             2 * 32 * n + ck.bits_q
 

@@ -33,8 +33,7 @@ def _committed_slot(full_key, forecasts, seed=0):
     tas = _make_tas(forecasts, seed)
     protocol.store_forecasts(tas, codec, transcript)
     to = protocol.Operator(ck=full_key)
-    commitments, e_tot, r_tot = protocol.run_commitment(tas, to, codec,
-                                                        transcript)
+    commitments, e_tot, r_tot = protocol.run_commitment(tas, to, transcript)
     result = protocol.run_commitment_check(to, commitments, e_tot, r_tot,
                                            transcript)
     assert result == "accept"
@@ -68,8 +67,7 @@ def test_corrupted_commitment_rejected(full_key):
     tas = _make_tas([4.0, -4.0])
     protocol.store_forecasts(tas, codec, transcript)
     to = protocol.Operator(ck=full_key)
-    commitments, e_tot, r_tot = protocol.run_commitment(tas, to, codec,
-                                                        transcript)
+    commitments, e_tot, r_tot = protocol.run_commitment(tas, to, transcript)
     corrupted = [pedersen.commit(full_key, tas[0].E_n + 1, tas[0].r_n),
                  commitments[1]]
     assert protocol.run_commitment_check(to, corrupted, e_tot, r_tot,
@@ -124,6 +122,19 @@ def test_forecast_reveal_perturbation_lands_in_t_f(full_key):
                                  sigma_policy=SIGMA, force_reveal=True)
     assert report.t_f_list == {1}
     assert report.t_m_list == set()
+
+
+def test_forecast_reveal_beyond_the_field_is_projected_and_flagged():
+    # At the default key's p = 886387 the field holds +-44.3 kWh; agents
+    # 24 and 40 scaled by 1.5 reveal 48.4 kWh, which a bare encode
+    # rejected, aborting the slot instead of flagging them.
+    scenario = protocol.AdversaryScenario((24, 40), protocol.FORECAST_FIELD,
+                                          1.5, 1.5)
+    report = harness.run_scenario(harness.ScenarioConfig(
+        adversary=(scenario,), force_reveal=True))
+    assert report.ck.p == 886387
+    assert report.detection.t_f_list == {24, 40}
+    assert report.detection.t_m_list == set()
 
 
 def test_randomness_reveal_perturbation_lands_in_t_f(full_key):
@@ -189,7 +200,7 @@ def test_lifecycle_errors(full_key):
     tas = _make_tas([1.0, -1.0])
     to = protocol.Operator(ck=full_key)
     with pytest.raises(LifecycleError):
-        protocol.run_commitment(tas, to, codec, transcript)
+        protocol.run_commitment(tas, to, transcript)
     with pytest.raises(LifecycleError):
         protocol.run_online(tas, to, codec, transcript, beta=0.1,
                             sigma_policy=SIGMA)
@@ -245,6 +256,6 @@ def test_operator_view_depends_only_on_totals(full_key):
         tas = _make_tas(forecasts, seed=3)
         protocol.store_forecasts(tas, codec, transcript)
         to = protocol.Operator(ck=full_key)
-        _, e_tot, _ = protocol.run_commitment(tas, to, codec, transcript)
+        _, e_tot, _ = protocol.run_commitment(tas, to, transcript)
         results.append(e_tot)
     assert results[0] == results[1]
