@@ -11,42 +11,37 @@ import sys
 from . import harness, market, numtheory
 from .errors import GridShareError, InvalidConfigError
 
-
-def _add_seed_args(parser):
-    parser.add_argument("--seed-profiles", type=int)
-    parser.add_argument("--seed-crypto", type=int)
-    parser.add_argument("--seed-adversary", type=int)
+# The ScenarioConfig fields that run, sweep, detect and compare set by flag.
+_SCENARIO_FLAGS = ("n_tas", "bits_p", "bits_b", "scale", "zeta",
+                   "varsigma", "beta", "mode", "mr_rounds", "worst_case",
+                   "force_reveal", "seed_profiles", "seed_crypto",
+                   "seed_adversary")
 
 
 def _add_scenario_args(parser):
     parser.add_argument("--scenario", help="key = value scenario file")
-    parser.add_argument("--n-tas", type=int)
-    parser.add_argument("--bits-p", type=int)
-    parser.add_argument("--bits-b", type=int)
-    parser.add_argument("--scale", type=int)
-    parser.add_argument("--zeta", type=float)
-    parser.add_argument("--varsigma", type=int)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--mode", choices=["secure", "plain"])
-    parser.add_argument("--mr-rounds", type=int)
-    parser.add_argument("--worst-case", action="store_true", default=None)
-    parser.add_argument("--force-reveal", action="store_true", default=None)
-    _add_seed_args(parser)
+    # `--n-tas` sets `n_tas`, parsed as that scenario key is; a bool field
+    # is a switch. A flag left out is absent from the parsed arguments.
+    for name in _SCENARIO_FLAGS:
+        flag = "--" + name.replace("_", "-")
+        if harness.FIELD_TYPES[name] is bool:
+            parser.add_argument(flag, action="store_true",
+                                default=argparse.SUPPRESS)
+        else:
+            parser.add_argument(flag, type=harness.FIELD_PARSERS[name],
+                                default=argparse.SUPPRESS)
 
 
 def build_config(args):
-    if getattr(args, "scenario", None):
+    if args.scenario:
         with open(args.scenario, encoding="utf-8") as fh:
             config = harness.parse_scenario_file(fh.read())
     else:
         config = harness.ScenarioConfig()
-    # A scenario flag's parsed name is the ScenarioConfig field it sets.
-    overrides = {}
-    for fld in dataclasses.fields(config):
-        value = getattr(args, fld.name, None)
-        if value is not None:
-            overrides[fld.name] = value
-    return dataclasses.replace(config, **overrides)
+    # Only the flags given are parsed arguments; each sets its field.
+    return dataclasses.replace(config, **{
+        name: value for name, value in vars(args).items()
+        if name in _SCENARIO_FLAGS})
 
 
 def _print_report(report):
@@ -177,10 +172,11 @@ def build_parser():
     # A bare keygen writes the key that a default run generates.
     defaults = harness.ScenarioConfig()
     p = sub.add_parser("keygen", help="generate and print a commitment key")
-    p.add_argument("--bits-p", type=int, default=defaults.bits_p)
-    p.add_argument("--bits-b", type=int, default=defaults.bits_b)
-    p.add_argument("--seed", type=int, default=defaults.seed_crypto)
-    p.add_argument("--mr-rounds", type=int, default=defaults.mr_rounds)
+    for flag, name in (("--bits-p", "bits_p"), ("--bits-b", "bits_b"),
+                       ("--seed", "seed_crypto"),
+                       ("--mr-rounds", "mr_rounds")):
+        p.add_argument(flag, type=harness.FIELD_PARSERS[name],
+                       default=getattr(defaults, name))
     p.add_argument("--out")
     p.set_defaults(func=cmd_keygen)
     return parser

@@ -54,8 +54,35 @@ class ScenarioConfig:
         return lambda forecast: max(floor, frac * abs(forecast))
 
 
+# Each setting's type, read by `validate_config` and by `FIELD_PARSERS`.
+FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
+
+
+def _has_type(value, hint):
+    """Whether `value` holds `hint`: an int is no bool, a float a finite
+    int or float, a tuple (`tuple[X, ...]` or `tuple[X, Y]`) its items."""
+    if hint == float | None:
+        return value is None or _has_type(value, float)
+    if hint is float:
+        return type(value) is int or (isinstance(value, float)
+                                      and math.isfinite(value))
+    if typing.get_origin(hint) is tuple:
+        if type(value) is not tuple:
+            return False
+        items = typing.get_args(hint)
+        items = items[:1] * len(value) if items[-1] is ... else items
+        return len(items) == len(value) and all(map(_has_type, value, items))
+    return type(value) is hint
+
+
 def validate_config(config):
     c = config
+    for name, hint in FIELD_TYPES.items():
+        value = getattr(c, name)
+        if not _has_type(value, hint):
+            kind = hint.__name__ if isinstance(hint, type) else hint
+            raise InvalidConfigError(
+                f"{name} must be {kind}, finite if a number: {value!r}")
     if c.n_tas < 2 or c.n_tas % 2 != 0:
         raise InvalidConfigError("n_tas must be even and >= 2")
     if c.bits_p < 8 or c.bits_b < 8:
@@ -66,19 +93,11 @@ def validate_config(config):
         raise InvalidConfigError(f"unknown mode {c.mode!r}")
     if c.keygen_mode != "fast":
         raise InvalidConfigError(f"unknown keygen mode {c.keygen_mode!r}")
-    for name in ("beta", "sigma_frac", "sigma_floor"):
-        value = getattr(c, name)
-        if value is not None and not math.isfinite(value):
-            raise InvalidConfigError(f"{name} must be finite, got {value!r}")
     if c.beta is not None and c.beta < 0:
         raise InvalidConfigError("beta must be >= 0")
     if c.sigma_frac < 0 or c.sigma_floor < 0:
         raise InvalidConfigError("sigma_frac and sigma_floor must be >= 0")
     c.market_config()   # raises on bad zeta/epsilon/varsigma/gamma_init
-    if not (isinstance(c.adversary, tuple) and all(
-            isinstance(sc, protocol.AdversaryScenario) for sc in c.adversary)):
-        raise InvalidConfigError(
-            f"adversary must be a tuple of AdversaryScenario: {c.adversary!r}")
     for sc in c.adversary:
         if any(i not in range(c.n_tas) for i in sc.target_indices):
             raise InvalidConfigError(
@@ -184,12 +203,11 @@ def _run_head(report, ck=None):
     """The adversary-independent start of a slot: in secure mode, accept
     a key (`ck` if given, which must have the config's bits_p and bits_q,
     else a generated one); then negotiate and store the forecasts. Fills
-    the report's key, price and timings, and returns the agents, the
-    operator and the slot codec."""
+    the report's key, price and timings, and returns the agents and the
+    slot codec."""
     config, transcript = report.config, report.transcript
     secure = config.mode == "secure"
     tas = build_agents(config)
-    to = protocol.Operator()
     negotiation_codec = sharing.FixedPointCodec(sharing.NEGOTIATION_MODULUS,
                                                 config.scale)
     slot_codec = negotiation_codec
@@ -210,7 +228,7 @@ def _run_head(report, ck=None):
                     f"the key has bits_p={ck.bits_p}, bits_q={ck.bits_q}; "
                     f"the config needs {config.bits_p} and "
                     f"{config.bits_p + config.bits_b}")
-        to.ck = report.ck = ck
+        report.ck = ck
         slot_codec = sharing.FixedPointCodec(ck.p, config.scale)
     with _timed(report.timings, "negotiation"):
         report.clearing_price, report.iterations, report.status = \
@@ -218,10 +236,10 @@ def _run_head(report, ck=None):
                 tas, config.market_config(), negotiation_codec,
                 transcript, secure=secure, worst_case=config.worst_case)
         protocol.store_forecasts(tas, slot_codec, transcript)
-    return tas, to, slot_codec
+    return tas, slot_codec
 
 
-def _run_tail(report, tas, to, slot_codec, adversary, adversary_rng,
+def _run_tail(report, tas, slot_codec, adversary, adversary_rng,
               force_reveal):
     """The rest of a slot: commitment, its check (a reject aborts the
     slot), honest actuals, the adversary, then the online phase.
@@ -233,6 +251,7 @@ def _run_tail(report, tas, to, slot_codec, adversary, adversary_rng,
     """
     config, transcript = report.config, report.transcript
     secure = config.mode == "secure"
+    to = protocol.Operator(ck=report.ck)
     with _timed(report.timings, "commitment"):
         if secure:
             openings = protocol.run_commitment(tas, to, transcript)
@@ -265,8 +284,8 @@ def run_scenario(config, ck=None):
     report whose traffic/storage numbers come solely from the transcript."""
     validate_config(config)
     report = RunReport(config=config, transcript=Transcript())
-    tas, to, slot_codec = _run_head(report, ck)
-    _run_tail(report, tas, to, slot_codec, config.adversary,
+    tas, slot_codec = _run_head(report, ck)
+    _run_tail(report, tas, slot_codec, config.adversary,
               market.random_source(config.seed_adversary, "adversary"),
               lambda _effective: config.force_reveal)
     report.traffic_kb, report.storage_kb = measure_sizes(report.transcript,
@@ -313,7 +332,6 @@ class DetectionSummary:
 # Detection-experiment thresholds: sigma strictly below the smallest
 # injected relative deviation, beta below the smallest aggregate one.
 DETECT_MIN_TRADE_KWH = 0.5
-DETECT_HONEST_BETA_KWH = 0.1
 
 
 def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
@@ -337,6 +355,11 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
             "adversary, thresholds and reveal rule; plain mode, "
             "force_reveal, beta, sigma_frac, sigma_floor and adversary do "
             "not apply")
+    if not (_has_type(n_targets, int) and _has_type(n_runs, int)
+            and _has_type(perturb_range, tuple[float, float])):
+        raise InvalidConfigError(
+            "n_targets and n_runs must be ints and perturb_range a pair "
+            f"of numbers: {n_targets!r}, {n_runs!r}, {perturb_range!r}")
     if not 0 <= n_targets <= base_config.n_tas:
         raise InvalidConfigError(f"need 0 <= n_targets <= {base_config.n_tas}")
     if n_runs < 1:
@@ -345,18 +368,15 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
     protocol.AdversaryScenario((), protocol.E_FIELD, *perturb_range)
     sigma_frac = perturb_range[0] / 2
     n_e_targets = (n_targets + 2) // 3
-    # Half the guaranteed aggregate shift from the actual-meter targets;
-    # honest aggregates deviate by exactly zero, so any positive beta
-    # separates them.
-    if n_e_targets:
-        beta = n_e_targets * perturb_range[0] * DETECT_MIN_TRADE_KWH / 2
-    else:
-        beta = DETECT_HONEST_BETA_KWH
+    # Half the guaranteed aggregate shift from the actual-meter targets.
+    # An honest aggregate deviates by exactly zero, which even beta = 0
+    # (no targets) does not trigger.
+    beta = n_e_targets * perturb_range[0] * DETECT_MIN_TRADE_KWH / 2
     base = validate_config(replace(base_config, sigma_frac=sigma_frac,
                                    sigma_floor=0.0, beta=beta))
 
     head = RunReport(config=base, transcript=Transcript())
-    tas0, _, slot_codec = _run_head(head)
+    tas0, slot_codec = _run_head(head)
     forecasts = {ta.profile.index: ta.E_n for ta in tas0}
     profiles = [ta.profile for ta in tas0]
 
@@ -390,9 +410,8 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
             protocol.AdversaryScenario((idx,), fld, *perturb_range)
             for idx, fld in zip(e_targets + others, target_fields))
 
-        slot = RunReport(config=base, transcript=Transcript())
-        effective = _run_tail(slot, tas, protocol.Operator(ck=head.ck),
-                              slot_codec, scenarios, adv_rng,
+        slot = RunReport(config=base, transcript=Transcript(), ck=head.ck)
+        effective = _run_tail(slot, tas, slot_codec, scenarios, adv_rng,
                               _audit_reveal_side)
         report = slot.detection
         if not report.triggered:
@@ -441,7 +460,7 @@ def sweep(config, axis, values, repeats=1):
         raise InvalidConfigError("sweep needs repeats >= 1")
     rows = []
     for value in values:
-        cfg = SWEEP_AXES[axis](config, int(value))
+        cfg = SWEEP_AXES[axis](config, value)
         reports = [run_scenario(cfg) for _ in range(repeats)]
         for repeated in zip(*map(phase_rows, reports)):
             row = {"axis_value": value, **repeated[0]}
@@ -453,18 +472,24 @@ def sweep(config, axis, values, repeats=1):
 _BOOL_VALUES = {"true": True, "1": True, "yes": True,
                 "false": False, "0": False, "no": False}
 
-# Scenario-file parser per ScenarioConfig field type; only an optional
-# float accepts "none". A parser raises ValueError or KeyError on bad text.
+
+def float_or_none(text):
+    """A float, or None for "none"."""
+    return None if text.lower() == "none" else float(text)
+
+
+# The text parser of each ScenarioConfig field but `adversary`, by its
+# type, for scenario files and CLI flags alike; only an optional float
+# accepts "none". A parser raises ValueError or KeyError on bad text.
 _PARSERS = {
     int: int,
     float: float,
-    float | None: lambda v: None if v.lower() == "none" else float(v),
+    float | None: float_or_none,
     bool: lambda v: _BOOL_VALUES[v.lower()],
     str: str,
 }
-_FIELD_PARSERS = {name: _PARSERS[hint] for name, hint
-                  in typing.get_type_hints(ScenarioConfig).items()
-                  if name != "adversary"}
+FIELD_PARSERS = {name: _PARSERS[hint] for name, hint in FIELD_TYPES.items()
+                 if name != "adversary"}
 
 
 def parse_scenario_file(text):
@@ -479,12 +504,12 @@ def parse_scenario_file(text):
         key, value = key.strip(), value.strip()
         if not sep or not key or not value:
             raise InvalidConfigError(f"line {lineno}: expected 'key = value'")
-        if key not in _FIELD_PARSERS:
+        if key not in FIELD_PARSERS:
             raise InvalidConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise InvalidConfigError(f"line {lineno}: repeated key {key!r}")
         try:
-            values[key] = _FIELD_PARSERS[key](value)
+            values[key] = FIELD_PARSERS[key](value)
         except (ValueError, KeyError):
             raise InvalidConfigError(
                 f"line {lineno}: bad value {value!r} for {key}") from None

@@ -1,4 +1,7 @@
+import argparse
 import csv
+
+import pytest
 
 from gridshare import cli, harness, numtheory
 from tests.conftest import TEST_MR_ROUNDS
@@ -44,6 +47,49 @@ def test_scenario_file_seeds_reach_the_run(tmp_path):
     args = cli.build_parser().parse_args(["run", "--scenario", str(scenario),
                                           "--seed-profiles", "4"])
     assert cli.build_config(args).seed_profiles == 4
+
+
+def test_beta_none_flag_overrides_the_scenario_file(tmp_path, capsys):
+    # --beta parses as the beta key does, so "none" (beta = sum(sigma)/2)
+    # overrides a file's number instead of failing to parse.
+    scenario = tmp_path / "scenario.cfg"
+    scenario.write_text(f"beta = 5\nn_tas = 6\nmr_rounds = {MR}\n")
+    argv = ["run", "--scenario", str(scenario), "--beta", "none"]
+    assert cli.build_config(cli.build_parser().parse_args(argv)).beta is None
+    assert cli.main(argv) == 0
+    assert "status:" in capsys.readouterr().out
+
+
+def test_bad_flag_values_exit_2(capsys):
+    # A value its field's parser rejects is an argparse error; a mode that
+    # parses but is unknown is rejected by validate_config.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "--beta", "x"])
+    assert exc.value.code == 2
+    assert "invalid float_or_none value: 'x'" in capsys.readouterr().err
+    assert cli.main(["run", "--n-tas", "4", "--mode", "hybrid"]) == 2
+    assert "unknown mode 'hybrid'" in capsys.readouterr().err
+
+
+def test_subcommand_options_are_pinned():
+    # The scenario flags are generated from field names, so a field added
+    # to or dropped from that list would change these sets.
+    scenario = {"--scenario", "--n-tas", "--bits-p", "--bits-b", "--scale",
+                "--zeta", "--varsigma", "--beta", "--mode", "--mr-rounds",
+                "--worst-case", "--force-reveal", "--seed-profiles",
+                "--seed-crypto", "--seed-adversary", "-h", "--help"}
+    expected = {
+        "run": scenario | {"--out"},
+        "sweep": scenario | {"--axis", "--values", "--repeats", "--out"},
+        "detect": scenario | {"--runs", "--targets"},
+        "compare": scenario,
+        "keygen": {"--bits-p", "--bits-b", "--seed", "--mr-rounds", "--out",
+                   "-h", "--help"},
+    }
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert {name: set(p._option_string_actions)
+            for name, p in sub.choices.items()} == expected
 
 
 def test_sweep_subcommand(tmp_path):

@@ -21,9 +21,14 @@ def _config(**overrides):
 
 def test_validate_rejects_bad_configs():
     # An adversary is a tuple of scenarios: a bare one, a list or a tuple
-    # holding anything else is rejected.
+    # holding anything else is rejected. Every field holds its annotated
+    # type: an int field no float or bool, a bool field no string.
     e_n = protocol.AdversaryScenario((1,), protocol.E_FIELD)
     for overrides in (dict(n_tas=7), dict(n_tas=0), dict(bits_p=4),
+                      dict(n_tas=4.0), dict(n_tas=True), dict(varsigma=2.5),
+                      dict(scale=2.5), dict(force_reveal="no"),
+                      dict(seed_profiles="x"), dict(zeta="0.01"),
+                      dict(beta=True),
                       dict(scale=0), dict(mode="hybrid"),
                       dict(keygen_mode="lazy"), dict(keygen_mode="faithful"),
                       dict(beta=-1.0),
@@ -203,6 +208,8 @@ def test_sweep_axes_and_csv_schema():
         harness.sweep(_config(), "n_tas", [])
     with pytest.raises(InvalidConfigError):
         harness.sweep(_config(), "n_tas", [4], repeats=0)
+    with pytest.raises(InvalidConfigError):
+        harness.sweep(_config(), "n_tas", [4.5])
 
 
 def test_single_value_sweep_matches_run_scenario():
@@ -255,7 +262,8 @@ def test_detection_experiment_honest_baseline():
 
 
 def test_detection_experiment_rejects_impossible_targets():
-    for n_targets, n_runs in ((5, 1), (-1, 1), (0, 0), (0, -1)):
+    for n_targets, n_runs in ((5, 1), (-1, 1), (0, 0), (0, -1), (1.5, 1),
+                              (0, 2.5)):
         with pytest.raises(InvalidConfigError):
             harness.detection_experiment(_config(n_tas=4),
                                          n_targets=n_targets, n_runs=n_runs)
@@ -268,7 +276,7 @@ def test_detection_experiment_rejects_bad_settings_before_the_head(
     # targets and audit rule; a bad perturbation range (an
     # infinite bound would report the projected ring bound as the slot's
     # aggregate) would surface only at the first run's adversary, after
-    # the slot head.
+    # the slot head, and one that is not two numbers as a TypeError.
     def no_head(*args):
         raise AssertionError("slot head ran")
 
@@ -282,7 +290,9 @@ def test_detection_experiment_rejects_bad_settings_before_the_head(
                                      (dict(sigma_floor=50.0), (0.05, 0.10)),
                                      (dict(adversary=(e_n,)), (0.05, 0.10)),
                                      ({}, (-0.1, 0.1)), ({}, (0.1, 0.05)),
-                                     ({}, (0.05, inf)), ({}, (nan, 0.1))):
+                                     ({}, (0.05, inf)), ({}, (nan, 0.1)),
+                                     ({}, 5), ({}, (0.05,)),
+                                     ({}, ("0.05", "0.1"))):
         with pytest.raises(InvalidConfigError):
             harness.detection_experiment(_config(n_tas=30, **overrides),
                                          n_targets=3,
