@@ -14,7 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 from . import market, numtheory, pedersen, sharing
-from .errors import InvalidConfigError, InvalidParametersError, LifecycleError
+from .errors import (
+    EncodingRangeError,
+    InvalidConfigError,
+    InvalidParametersError,
+    LifecycleError,
+)
 from .transport import (
     ACCEPT_NOTIFY,
     AGGREGATE_SUBMIT,
@@ -130,16 +135,24 @@ def run_negotiation(tas, config, codec, transcript, secure=True,
     In secure mode each round's quantized trades cross the bus as
     additive shares; in plain mode agents submit them directly. Both
     modes apply identical fixed-point quantization, so the price
-    trajectories agree bit for bit. The operator broadcasts each round's
-    price, and an accept notice once the loop stops.
+    trajectories agree bit for bit. Both raise EncodingRangeError when a
+    round total wraps the codec's modulus. The operator broadcasts each
+    round's price, and an accept notice once the loop stops.
     """
     phase = "negotiation"
     to_operator = _share_round if secure else _plain_round
 
     def aggregate(trades):
-        return codec.decode(to_operator(
+        total = codec.decode(to_operator(
             tas, [codec.encode(t) for t in trades], codec.modulus,
             transcript, phase))
+        # Rounding moves the total by at most N/(2*scale) kWh, a wrap past
+        # the modulus by modulus/scale.
+        if abs(total - sum(trades)) > codec.max_magnitude:
+            raise EncodingRangeError(
+                f"the round total {sum(trades)} kWh wraps modulus "
+                f"{codec.modulus}, which holds ±{codec.max_magnitude} kWh")
+        return total
 
     for k, gamma, _, status in market.clearing_rounds(
             [ta.state for ta in tas], config, aggregate, worst_case):

@@ -1,14 +1,15 @@
 """(N,N) additive secret sharing modulo an integer m with fixed-point
 encoding of signed kWh quantities.
 
-Negotiation rounds share over the ring Z_2^64; commitment and online
+Negotiation rounds share over the ring Z_2^32; commitment and online
 rounds share over the commitment group order p. One draw rule serves
 every m >= 2. Shares come from w-bit words, w the smallest multiple of
-64 with 2**w mod m <= 2**(w-32): 64 for the ring and for any m < 2**32.
-An agent draws its N-1 words as one getrandbits(w*(N-1)), redrawn whole
-while any word is >= L = 2**w - (2**w mod m), and share j is word j mod
-m, so every share is exactly uniform over Z_m. Over the ring no word is
-ever rejected and a share is its word.
+32 with 2**w mod m <= 2**(w-32): 32 for the ring, the 32 bits the wire
+model counts per share, and 64 for the ~20-bit default p. An agent
+draws its N-1 words as one getrandbits(w*(N-1)), redrawn whole while
+any word is >= L = 2**w - (2**w mod m), and share j is word j mod m, so
+every share is exactly uniform over Z_m. Over the ring no word is ever
+rejected and a share is its word.
 
 `split` and `reconstruct` are the reference: one agent's shares, and one
 sum of shares. A round runs through `share_total`, which makes every
@@ -33,9 +34,11 @@ from .errors import (
 # Modulus used for negotiation-round aggregation. The commitment group
 # order (~20 bits by default) cannot hold transient per-iteration sums,
 # which reach a few hundred kWh at scale 10^4 before the price settles,
-# so those rounds share over the ring Z_2^64 instead: additive sharing
-# needs no inverse, and a share is 64 random bits.
-NEGOTIATION_MODULUS = 1 << 64
+# so those rounds share over the ring Z_2^32 instead: additive sharing
+# needs no inverse, and a share is 32 random bits, one wire scalar. A
+# round total decodes faithfully within +-2**31/scale (214 748 kWh at
+# scale 10^4); `protocol.run_negotiation` raises beyond that.
+NEGOTIATION_MODULUS = 1 << 32
 
 DEFAULT_SCALE = 10_000
 
@@ -63,8 +66,8 @@ class FixedPointCodec:
         """round(x*scale) mod p, rounding half away from zero.
 
         Raises EncodingRangeError for a value beyond max_magnitude and for
-        a non-finite one. Over NEGOTIATION_MODULUS that bound is about
-        9.2e14 kWh, so negotiation trades always encode.
+        a non-finite one. Over NEGOTIATION_MODULUS at scale 10^4 that
+        bound is 214 748 kWh, far above any one agent's trade.
         """
         scaled = x * self.scale
         try:
@@ -129,9 +132,9 @@ def _draw_rule(modulus, n_parties):
     if n_parties < 2:
         raise InvalidPartyCountError(f"need >= 2 parties, got {n_parties}")
     k = n_parties - 1
-    w = 64
+    w = 32
     while pow(2, w, modulus) > 1 << (w - 32):
-        w += 64
+        w += 32
 
     def spread(word):       # `word` in each of the k w-bit slots
         return int.from_bytes(word.to_bytes(w // 8, "little") * k, "little")

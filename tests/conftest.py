@@ -32,9 +32,9 @@ def short_key():
 
 
 class SequenceRng:
-    """Forces the shares `sharing.split` draws over a modulus below 2**32:
-    getrandbits emits each value as one 64-bit word, the word width of
-    such a modulus, first value lowest."""
+    """Forces the shares `sharing.split` draws over a modulus whose word
+    width is 64 bits, such as 101: getrandbits emits each value as one
+    64-bit word, first value lowest."""
 
     def __init__(self, values):
         self.values = list(values)

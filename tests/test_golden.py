@@ -79,9 +79,9 @@ def test_detection_summary_digest():
 # slot with forced reveals under the full key, then a detection experiment
 # at N=30 (3 runs of 3 targets): 12 generators in the slot (profiles, 10
 # agents, adversary) and 125 in the experiment. Hashes each one's next
-# getrandbits(64).
+# getrandbits(64). Negotiation shares are 32-bit words over Z_2^32.
 GOLDEN_GENERATORS_SHA256 = (
-    "67bde4438144b184bb8742500c19458347178c2a39c043eb213679c60646b6bd")
+    "ca22f2684f622b45adb4cbfa07a19a8164fda9324ee3944d41be65e263efab61")
 
 
 def test_generator_end_states_digest(full_key, monkeypatch):

@@ -1,10 +1,11 @@
+import collections
 import random
 
 import pytest
 
 from gridshare import harness, market, pedersen, protocol, sharing
 from gridshare.errors import InvalidParametersError, LifecycleError
-from gridshare.transport import Transcript
+from gridshare.transport import SCALAR_BITS, SHARE_TRANSFER, Transcript
 
 SCALE = 1000
 SIGMA = harness.ScenarioConfig().sigma_policy()
@@ -226,6 +227,45 @@ def test_negotiation_secure_equals_plain(full_key):
     reference = market.central_clearing(profiles, config, quantize=codec)
     assert results[0][0] == reference.gamma
     assert results[0][1] == reference.iterations
+
+
+class CountingRng:
+    """Delegates to a generator and counts the random bits asked of it."""
+
+    def __init__(self, inner):
+        self.inner, self.bits = inner, 0
+
+    def getrandbits(self, k):
+        self.bits += k
+        return self.inner.getrandbits(k)
+
+
+class KindTranscript(Transcript):
+    """A transcript that also counts each sender's bits per message kind."""
+
+    def __init__(self):
+        super().__init__()
+        self.kind_bits = collections.Counter()
+
+    def send(self, phase, kind, sender, receiver, bits):
+        super().send(phase, kind, sender, receiver, bits)
+        self.kind_bits[(sender, kind)] += bits
+
+
+def test_negotiation_draws_the_share_bits_it_sends():
+    # Each agent draws exactly the bits of the shares the wire model
+    # counts it sending: SCALAR_BITS per share, N-1 shares per round.
+    n, rounds = 10, 7
+    codec = sharing.FixedPointCodec(sharing.NEGOTIATION_MODULUS, 10_000)
+    tas = [protocol.TAgent(p, CountingRng(random.Random(p.index)))
+           for p in market.sample_profiles(n, random.Random(4))]
+    transcript = KindTranscript()
+    protocol.run_negotiation(tas, market.MarketConfig(varsigma=rounds),
+                             codec, transcript, worst_case=True)
+    for ta in tas:
+        assert (ta.rng.bits
+                == transcript.kind_bits[(ta.id, SHARE_TRANSFER)]
+                == SCALAR_BITS * (n - 1) * rounds)
 
 
 def test_worst_case_negotiation_runs_full_cap(full_key):

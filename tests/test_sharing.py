@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from gridshare import protocol, sharing
+from gridshare import market, protocol, sharing
 from gridshare.errors import (
     EncodingRangeError,
     IncompleteSharesError,
@@ -15,11 +15,11 @@ from gridshare.transport import Transcript
 from tests.conftest import SequenceRng
 
 RING = sharing.NEGOTIATION_MODULUS
-P40 = (1 << 40) - 285           # a prime whose shares use 128-bit words
-ODD256 = 3 ** 161               # 256 bits; its shares use 320-bit words
-# Word width w of the draw rule, by hand: the smallest multiple of 64 with
+P40 = (1 << 40) - 285           # a prime whose shares use 96-bit words
+ODD256 = 3 ** 161               # 256 bits; its shares use 288-bit words
+# Word width w of the draw rule, by hand: the smallest multiple of 32 with
 # 2**w mod m <= 2**(w - 32). Every other modulus here has w = 64.
-WIDTH = {P40: 128, ODD256: 320}
+WIDTH = {RING: 32, 3: 32, 1 << 19: 32, P40: 96, ODD256: 288}
 MODULI = [3, 11, 101, 1 << 19, 886387, (1 << 20) + 7, (1 << 31) + 1,
           (1 << 32) - 5, P40, ODD256]
 
@@ -70,8 +70,15 @@ def test_split_forced_randomness():
     assert sum(shares) % 101 == 42
 
 
+def test_draw_rule_word_width():
+    # The ring draws one 32-bit word per share, the wire model's scalar;
+    # every ~20-bit p keeps its 64-bit words.
+    expected = {m: WIDTH.get(m, 64) for m in [RING, *MODULI]}
+    assert {m: sharing._draw_rule(m, 2)[0] for m in expected} == expected
+
+
 def test_ring_split_sums_to_secret():
-    assert RING == 1 << 64
+    assert RING == 1 << 32
     rng = random.Random(6)
     for secret in (0, 1, RING - 1, rng.randrange(RING)):
         for n in (2, 3, 17):
@@ -82,12 +89,12 @@ def test_ring_split_sums_to_secret():
 
 
 def test_ring_split_is_one_bulk_draw():
-    # The n-1 random shares are exactly one getrandbits(64*(n-1)) draw,
-    # read as little-endian 64-bit words.
+    # The n-1 random shares are exactly one getrandbits(32*(n-1)) draw,
+    # read as little-endian 32-bit words.
     n = 9
     shares = sharing.split(12345, n, RING, random.Random(7))
-    bits = random.Random(7).getrandbits(64 * (n - 1))
-    words = struct.unpack(f"<{n - 1}Q", bits.to_bytes(8 * (n - 1), "little"))
+    bits = random.Random(7).getrandbits(32 * (n - 1))
+    words = struct.unpack(f"<{n - 1}I", bits.to_bytes(4 * (n - 1), "little"))
     assert shares[:-1] == list(words)
 
 
@@ -128,7 +135,7 @@ def test_share_aggregates_equal_split_and_reconstruct(modulus, n):
 
 
 class SaturatedRng:
-    """Every getrandbits bit is set, so each drawn share is 2**64 - 1."""
+    """Every getrandbits bit is set, so each drawn ring share is 2**32 - 1."""
 
     def getrandbits(self, k):
         return (1 << k) - 1
@@ -138,7 +145,7 @@ class SaturatedRng:
 
 
 def test_ring_aggregates_saturated_draws():
-    # Every drawn share is 2**64 - 1, the largest the ring allows.
+    # Every drawn share is 2**32 - 1, the largest the ring allows.
     n = 400
     _assert_total_matches_split([RING - 1] * n, lambda i: SaturatedRng())
 
@@ -234,12 +241,76 @@ def test_ring_round_decodes_signed_aggregate():
     assert codec.decode(total) == -2.25
 
 
+def _negotiation_rounds(tas, secure, varsigma=1, signed_trade=None):
+    """Run a worst-case negotiation of `tas` over the ring at scale 10^4
+    and return each round's (trades, decoded total); `signed_trade`, if
+    given, replaces the market's trade of each agent state."""
+    seen = []
+    clearing_rounds = market.clearing_rounds
+
+    def recorded(states, config, aggregate, worst_case=False):
+        def recording(trades):
+            total = aggregate(trades)
+            seen.append((trades, total))
+            return total
+        return clearing_rounds(states, config, recording, worst_case)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(market, "clearing_rounds", recorded)
+        if signed_trade is not None:
+            mp.setattr(market, "signed_trade", signed_trade)
+        protocol.run_negotiation(
+            tas, market.MarketConfig(varsigma=varsigma),
+            sharing.FixedPointCodec(RING, 10_000), Transcript(),
+            secure=secure, worst_case=True)
+    return seen
+
+
+def _fixed_trade_totals(kwh, n, secure):
+    # One round in which each of n agents trades `kwh`, whatever its step.
+    tas = [protocol.TAgent(market.TAProfile(i, market.SELLER, kwh, 0.0, 3.0,
+                                            30.0, 0.1), random.Random(i))
+           for i in range(n)]
+    return [total for _, total in _negotiation_rounds(
+        tas, secure, signed_trade=lambda st: st.profile.E_n_tot)]
+
+
 def test_ring_round_headroom():
-    # 800 agents at the 500 kWh extreme stay far inside +-2^63 / scale.
-    codec = sharing.FixedPointCodec(RING, 10_000)
-    for kwh in (500.0, -500.0):
-        total = _ring_round([codec.encode(kwh)] * 800, seed=9)
-        assert codec.decode(total) == 800 * kwh
+    # 800 agents at the 500 kWh extreme sum to 400 000 kWh, past the
+    # +-214 748 kWh that Z_2^32 holds at scale 10^4: the total would wrap,
+    # so negotiation raises in both modes instead of pricing on it.
+    for secure in (True, False):
+        for kwh in (500.0, -500.0):
+            with pytest.raises(EncodingRangeError, match="wraps"):
+                _fixed_trade_totals(kwh, 800, secure)
+
+
+def test_ring_round_largest_inside_total_decodes_exactly():
+    # 800 trades of +-268.435 kWh total +-214 748 kWh, the codec's
+    # max_magnitude over the ring: the largest total it promises.
+    limit = sharing.FixedPointCodec(RING, 10_000).max_magnitude
+    assert limit == 214_748
+    for secure in (True, False):
+        for sign in (1, -1):
+            assert (_fixed_trade_totals(sign * 268.435, 800, secure)
+                    == [sign * limit])
+
+
+def test_plain_worst_case_negotiation_at_n800_stays_inside_the_ring():
+    # Every round total is the quantised integer sum of its trades, and
+    # the largest |total|, 869.5 kWh, stays far inside the ring's
+    # +-214 748 kWh.
+    profiles = market.sample_profiles(800, market.random_source(1,
+                                                                "profiles"))
+    tas = [protocol.TAgent(p, random.Random(p.index)) for p in profiles]
+    rounds = _negotiation_rounds(tas, secure=False, varsigma=100)
+    assert len(rounds) == 100
+    wide = sharing.FixedPointCodec(1 << 64, 10_000)
+    for trades, total in rounds:
+        quantised = sum(round(wide.decode(wide.encode(t)) * 10_000)
+                        for t in trades)
+        assert total == quantised / 10_000
+    assert 100 < max(abs(total) for _, total in rounds) < 1000
 
 
 def test_ring_share_top_byte_uniform_chi_square():
@@ -249,7 +320,7 @@ def test_ring_share_top_byte_uniform_chi_square():
     for position in (0, -1):      # a drawn share and the completing one
         tally = [0] * bins
         for _ in range(trials):
-            tally[sharing.split(42, 3, RING, rng)[position] >> 56] += 1
+            tally[sharing.split(42, 3, RING, rng)[position] >> 24] += 1
         expected = trials / bins
         stat = sum((c - expected) ** 2 / expected for c in tally)
         assert scipy_stats.chi2.sf(stat, bins - 1) > 0.01
