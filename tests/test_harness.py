@@ -254,6 +254,20 @@ def test_detection_experiment_small():
     assert summary.accuracy == 1.0
 
 
+def test_detection_experiment_audits_reveal_side_targets():
+    # At these factors no e_n or E_n target changes its encoding, so the
+    # aggregate never moves and beta = 0 never triggers: only the audit
+    # of reveal-side targets reveals the r_n targets that did change.
+    summary = harness.detection_experiment(_config(n_tas=30), n_targets=6,
+                                           perturb_range=(0.0, 2e-6),
+                                           n_runs=10)
+    assert summary.true_positives == summary.t_f_total == 8
+    assert summary.t_m_total == 0
+    assert summary.false_negatives == summary.false_positives == 0
+    assert summary.wrong_list == 0
+    assert summary.untriggered_runs == 3
+
+
 def test_detection_experiment_honest_baseline():
     summary = harness.detection_experiment(_config(n_tas=10), n_targets=0,
                                            n_runs=3)
