@@ -103,7 +103,7 @@ def validate_config(config):
             raise InvalidConfigError(
                 f"adversary targets {sc.target_indices} must be agent "
                 f"indices in [0, {c.n_tas})")
-        if c.mode == "plain" and sc.target_field != protocol.E_FIELD:
+        if c.mode == "plain" and sc.target_field in protocol.REVEAL_FIELDS:
             raise InvalidConfigError(
                 "plain slots have no reveal and no r_n; an adversary there "
                 "can only target e_n")
@@ -390,13 +390,10 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
             f"only {len(eligible)} agents trade >= {DETECT_MIN_TRADE_KWH} kWh; "
             f"cannot target {n_targets}")
 
-    # The e_n targets, then the others alternating E_n and r_n.
+    # The e_n targets, then the others cycling through the reveal fields.
     target_fields = ([protocol.E_FIELD] * n_e_targets
-                     + [protocol.FORECAST_FIELD, protocol.RANDOMNESS_FIELD]
-                     * n_targets)
+                     + list(protocol.REVEAL_FIELDS) * n_targets)
     summary = DetectionSummary(runs=n_runs, targets_per_run=n_targets)
-    expected_list = {protocol.E_FIELD: "t_m", protocol.FORECAST_FIELD: "t_f",
-                     protocol.RANDOMNESS_FIELD: "t_f"}
     for run in range(n_runs):
         tas = build_agents(base, profiles=profiles, run_label=f"run{run}/")
         for ta in tas:
@@ -425,18 +422,19 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
                 summary.false_negatives += 1
             else:
                 summary.true_positives += 1
-                actual = "t_m" if idx in report.t_m_list else "t_f"
-                if actual != expected_list[fld]:
+                # A reveal-side target belongs in t_f, an e_n one in t_m.
+                if (idx in report.t_m_list) == (fld in protocol.REVEAL_FIELDS):
                     summary.wrong_list += 1
         summary.false_positives += len(flagged - set(effective))
     return summary
 
 
 def _audit_reveal_side(effective):
-    """Reveal-side fields (E_n, r_n) never move the aggregate, so no beta
-    could trigger a run whose only effective targets are such fields;
-    those runs are audited explicitly."""
-    return bool(effective) and protocol.E_FIELD not in effective.values()
+    """`protocol.REVEAL_FIELDS` never move the aggregate, so no beta could
+    trigger a run whose only effective targets are such fields; those
+    runs are audited explicitly."""
+    return bool(effective) and all(fld in protocol.REVEAL_FIELDS
+                                   for fld in effective.values())
 
 
 # Sweep axes in `--axis` order, each mapping an axis value onto the

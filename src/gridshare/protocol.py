@@ -40,15 +40,18 @@ from .transport import (
 E_FIELD = "e_n"
 FORECAST_FIELD = "E_n"
 RANDOMNESS_FIELD = "r_n"
-ADVERSARY_FIELDS = (E_FIELD, FORECAST_FIELD, RANDOMNESS_FIELD)
+# Altered at reveal time, after the commitments: such a target never
+# moves the aggregate, lands in t_f, and has no plain-slot counterpart.
+REVEAL_FIELDS = (FORECAST_FIELD, RANDOMNESS_FIELD)
+ADVERSARY_FIELDS = (E_FIELD, *REVEAL_FIELDS)
 
 
 @dataclass(frozen=True)
 class AdversaryScenario:
     """Perturbs one field of the targeted agents by a relative factor.
 
-    e_n is altered before the online phase shares it; E_n and r_n are
-    altered at reveal time (the commitments were made on honest values).
+    e_n is altered before the online phase shares it; the
+    `REVEAL_FIELDS` at reveal time (the commitments hold honest values).
     """
 
     target_indices: tuple
@@ -326,7 +329,7 @@ def honest_actuals(tas, slot_codec):
 def apply_adversary(scenarios, tas, slot_codec, rng):
     """Mutate the targeted agents' inputs by each AdversaryScenario in
     the tuple `scenarios`, in order; returns {index: field} for targets
-    whose value actually changed (a 5-10% scaling of a zero value is a
+    whose encoded value changed (a 5-10% scaling of a zero value is a
     no-op and cannot be observed by any detector)."""
     by_index = {ta.profile.index: ta for ta in tas}
     effective = {}
@@ -335,20 +338,17 @@ def apply_adversary(scenarios, tas, slot_codec, rng):
             ta = by_index[idx]
             factor = 1.0 + rng.uniform(sc.perturb_lo, sc.perturb_hi)
             if sc.target_field == E_FIELD:
-                honest = ta.e_actual
-                ta.e_actual = honest * factor
-                if (_encode_actual(slot_codec, ta.e_actual)
-                        != _encode_actual(slot_codec, honest)):
-                    effective[idx] = E_FIELD
+                honest = _encode_actual(slot_codec, ta.e_actual)
+                ta.e_actual *= factor
+                perturbed = _encode_actual(slot_codec, ta.e_actual)
             elif sc.target_field == FORECAST_FIELD:
-                perturbed = _encode_actual(
-                    slot_codec, slot_codec.decode(ta.E_n) * factor)
-                ta.reveal_E = perturbed
-                if perturbed != ta.E_n:
-                    effective[idx] = FORECAST_FIELD
+                honest = ta.E_n
+                perturbed = ta.reveal_E = _encode_actual(
+                    slot_codec, slot_codec.decode(honest) * factor)
             else:
-                perturbed = int(ta.r_n * factor + 0.5) % slot_codec.modulus
-                ta.reveal_r = perturbed
-                if perturbed != ta.r_n:
-                    effective[idx] = RANDOMNESS_FIELD
+                honest = ta.r_n
+                perturbed = ta.reveal_r = (int(honest * factor + 0.5)
+                                           % slot_codec.modulus)
+            if perturbed != honest:
+                effective[idx] = sc.target_field
     return effective

@@ -97,7 +97,7 @@ def test_plain_mode_rejects_reveal_side_adversary():
     # Plain slots have no reveal and no r_n; only e_n can be perturbed.
     e_n = protocol.AdversaryScenario((1,), protocol.E_FIELD)
     harness.run_scenario(_config(mode="plain", adversary=(e_n,)))
-    for fld in (protocol.FORECAST_FIELD, protocol.RANDOMNESS_FIELD):
+    for fld in protocol.REVEAL_FIELDS:
         adversary = (e_n, protocol.AdversaryScenario((2,), fld))
         with pytest.raises(InvalidConfigError):
             harness.run_scenario(_config(mode="plain", adversary=adversary))
