@@ -18,7 +18,7 @@ from .errors import (
 )
 from .transport import PHASES, TO_ID, Transcript, ta_id
 
-MAX_TRADE_KWH = market.E_TOT_RANGE[1]
+MAX_TRADE_KWH = int(market.E_TOT_RANGE[1])
 
 
 @dataclass(frozen=True)
@@ -87,8 +87,8 @@ def validate_config(config):
         raise InvalidConfigError("n_tas must be even and >= 2")
     if c.bits_p < 8 or c.bits_b < 8:
         raise InvalidConfigError("bits_p and bits_b must each be >= 8")
-    if c.scale < 1:
-        raise InvalidConfigError("scale must be >= 1")
+    if c.scale < 1 or c.mr_rounds < 1:
+        raise InvalidConfigError("scale and mr_rounds must each be >= 1")
     if c.mode not in ("secure", "plain"):
         raise InvalidConfigError(f"unknown mode {c.mode!r}")
     if c.keygen_mode != "fast":
@@ -113,6 +113,11 @@ def validate_config(config):
         raise InvalidConfigError(
             f"scale {c.scale} cannot represent {MAX_TRADE_KWH} kWh in a "
             f"{c.bits_p}-bit field")
+    # A negotiation round's total must fit the ring's centred range.
+    if c.n_tas * MAX_TRADE_KWH * c.scale >= sharing.NEGOTIATION_MODULUS // 2:
+        raise InvalidConfigError(
+            f"{c.n_tas} trades of up to {MAX_TRADE_KWH} kWh at scale "
+            f"{c.scale} can wrap the negotiation ring")
     return config
 
 

@@ -22,14 +22,19 @@ def _config(**overrides):
 def test_validate_rejects_bad_configs():
     # An adversary is a tuple of scenarios: a bare one, a list or a tuple
     # holding anything else is rejected. Every field holds its annotated
-    # type: an int field no float or bool, a bool field no string.
+    # type: an int field no float or bool, a bool field no string. A
+    # scale whose round totals can wrap the 32-bit negotiation ring used
+    # to pass and then fail in the first round, or overflow a float.
     e_n = protocol.AdversaryScenario((1,), protocol.E_FIELD)
     for overrides in (dict(n_tas=7), dict(n_tas=0), dict(bits_p=4),
                       dict(n_tas=4.0), dict(n_tas=True), dict(varsigma=2.5),
                       dict(scale=2.5), dict(force_reveal="no"),
                       dict(seed_profiles="x"), dict(zeta="0.01"),
                       dict(beta=True),
-                      dict(scale=0), dict(mode="hybrid"),
+                      dict(scale=0), dict(mr_rounds=0), dict(mr_rounds=-5),
+                      dict(n_tas=4, mode="plain", bits_p=40, scale=10**9,
+                           varsigma=5), dict(scale=10**400),
+                      dict(mode="hybrid"),
                       dict(keygen_mode="lazy"), dict(keygen_mode="faithful"),
                       dict(beta=-1.0),
                       dict(zeta=0.0), dict(beta=float("nan")),
