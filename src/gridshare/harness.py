@@ -155,18 +155,18 @@ def phase_rows(report):
 
 
 def measure_sizes(transcript, n_tas):
-    """Per-phase traffic and storage in KB, per entity class.
+    """Per-phase traffic and storage in KB (1024 bytes), per entity class.
 
     The TA column is per single agent; the protocol is symmetric, so
     every agent's counters agree and TA0 is representative. That is
     checked: counters that differ raise AsymmetricTranscriptError.
     """
-    traffic = {}
-    storage = {}
+    traffic, storage = {}, {}
+    tables = ((transcript.traffic_bits, "traffic", traffic),
+              (transcript.storage_bits, "storage", storage))
     ta0 = ta_id(0)
     for phase in PHASES:
-        for counters, what in ((transcript.traffic_bits, "traffic"),
-                               (transcript.storage_bits, "storage")):
+        for counters, what, table in tables:
             expected = counters.get((ta0, phase), 0)
             for n in range(1, n_tas):
                 got = counters.get((ta_id(n), phase), 0)
@@ -174,10 +174,8 @@ def measure_sizes(transcript, n_tas):
                     raise AsymmetricTranscriptError(
                         f"{ta_id(n)} {phase} {what} is {got} bits, "
                         f"{ta0} has {expected}")
-        traffic[phase] = {"TA": transcript.traffic_kb(ta0, phase),
-                          "TO": transcript.traffic_kb(TO_ID, phase)}
-        storage[phase] = {"TA": transcript.storage_kb(ta0, phase),
-                          "TO": transcript.storage_kb(TO_ID, phase)}
+            table[phase] = {"TA": expected / 8 / 1024,
+                            "TO": counters.get((TO_ID, phase), 0) / 8 / 1024}
     return traffic, storage
 
 
@@ -390,10 +388,15 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
     # Actual-meter perturbations must all push the aggregate the same
     # way, or opposite-signed trades cancel below the trigger threshold.
     eligible_pos = [i for i in eligible if slot_codec.decode(forecasts[i]) > 0]
-    if len(eligible) < n_targets or len(eligible_pos) < n_e_targets:
+    if len(eligible) < n_targets:
         raise InvalidConfigError(
             f"only {len(eligible)} agents trade >= {DETECT_MIN_TRADE_KWH} kWh; "
             f"cannot target {n_targets}")
+    if len(eligible_pos) < n_e_targets:
+        raise InvalidConfigError(
+            f"only {len(eligible_pos)} agents forecast a surplus >= "
+            f"{DETECT_MIN_TRADE_KWH} kWh; cannot make {n_e_targets} e_n "
+            "targets")
 
     # The e_n targets, then the others cycling through the reveal fields.
     target_fields = ([protocol.E_FIELD] * n_e_targets
@@ -496,24 +499,7 @@ FIELD_PARSERS = {name: _PARSERS[hint] for name, hint in FIELD_TYPES.items()
 
 
 def parse_scenario_file(text):
-    """Line-oriented key = value scenario description; unknown and
-    repeated keys and malformed values are rejected."""
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not sep or not key or not value:
-            raise InvalidConfigError(f"line {lineno}: expected 'key = value'")
-        if key not in FIELD_PARSERS:
-            raise InvalidConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in values:
-            raise InvalidConfigError(f"line {lineno}: repeated key {key!r}")
-        try:
-            values[key] = FIELD_PARSERS[key](value)
-        except (ValueError, KeyError):
-            raise InvalidConfigError(
-                f"line {lineno}: bad value {value!r} for {key}") from None
-    return ScenarioConfig(**values)
+    """A `key = value` scenario description, each key a field of
+    `FIELD_PARSERS`; see `numtheory.parse_key_values`."""
+    return ScenarioConfig(**numtheory.parse_key_values(
+        text, FIELD_PARSERS, InvalidConfigError))

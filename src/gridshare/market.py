@@ -29,7 +29,8 @@ E_TOT_RANGE = (0.0, 20.0)
 @dataclass(frozen=True)
 class TAProfile:
     """One agent's market parameters: forecast, dual initializers, and
-    the linear/quadratic preference coefficients."""
+    the linear/quadratic preference coefficients. All are finite, and a
+    seller's forecast is >= 0 and a buyer's <= 0."""
 
     index: int
     role: str
@@ -44,6 +45,15 @@ class TAProfile:
             raise InvalidConfigError(f"unknown role {self.role!r}")
         if self.chi <= 0:
             raise DegeneratePreferenceError("chi must be > 0")
+        if not all(map(math.isfinite, (self.E_n_tot, self.v_lo_init,
+                                       self.v_hi_init, self.psi, self.chi))):
+            raise InvalidConfigError(
+                f"TA {self.index}: E_n_tot, v_lo_init, v_hi_init, psi and "
+                "chi must be finite")
+        if (self.E_n_tot < 0 if self.role == SELLER else self.E_n_tot > 0):
+            raise InvalidConfigError(
+                f"TA {self.index}: a {self.role} cannot have E_n_tot "
+                f"{self.E_n_tot}")
 
 
 @dataclass(frozen=True)
@@ -100,6 +110,7 @@ def update_price(gamma, zeta, sum_E):
 
 def agent_step(state, gamma, zeta):
     """One full per-agent iteration: dual updates, then the energy update.
+    Returns the agent's `signed_trade`, its term in the operator's sum.
 
     Buyers use the sign-mirror of the seller energy drift (price and
     preference swap roles); magnitudes stay non-negative for both roles.
@@ -113,7 +124,7 @@ def agent_step(state, gamma, zeta):
     else:
         state.E = update_energy(state.E, p.psi, zeta, gamma, p.chi,
                                 state.v_lo, state.v_hi)
-    return state.E
+    return signed_trade(state)
 
 
 def signed_trade(state):
@@ -176,9 +187,8 @@ def clearing_rounds(states, config, aggregate, worst_case=False):
     gamma, k, status = config.gamma_init, 0, CONTINUE
     while status == CONTINUE:
         k += 1
-        for st in states:
-            agent_step(st, gamma, config.zeta)
-        total = aggregate([signed_trade(st) for st in states])
+        total = aggregate([agent_step(st, gamma, config.zeta)
+                           for st in states])
         gamma_new = update_price(gamma, config.zeta, total)
         status = check_convergence(gamma_new, gamma, k + 1, config,
                                    worst_case)

@@ -102,6 +102,9 @@ def gen_prime_pair(bits_p, bits_b, rng, rounds=DEFAULT_MR_ROUNDS):
         f"no prime pair found for bits_p={bits_p}, bits_b={bits_b}")
 
 
+KEY_FIELDS = ("q", "p", "b", "g", "h")
+
+
 @dataclass(frozen=True)
 class GroupParams:
     """Commitment key ck = (G, q, p, g, h) with q = b*p + 1."""
@@ -168,27 +171,44 @@ class GroupParams:
 
     def serialize(self):
         """Text key-value record, decimal values, reusable across runs."""
-        lines = [f"{k} = {getattr(self, k)}" for k in ("q", "p", "b", "g", "h")]
+        lines = [f"{k} = {getattr(self, k)}" for k in KEY_FIELDS]
         return "\n".join(lines) + "\n"
 
     @classmethod
     def parse(cls, text):
-        fields = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            try:
-                fields.append((key.strip(), int(value.strip())))
-            except ValueError:
-                raise InvalidParametersError(
-                    f"malformed key line {line!r}") from None
-        keys = sorted(key for key, _ in fields)
-        if keys != sorted("qpbgh"):
-            raise InvalidParametersError(
-                f"key fields {keys}: need each of q, p, b, g, h once")
-        return cls(**dict(fields))
+        """Read a `serialize` record: each of q, p, b, g, h once."""
+        fields = parse_key_values(text, dict.fromkeys(KEY_FIELDS, int),
+                                  InvalidParametersError)
+        missing = [k for k in KEY_FIELDS if k not in fields]
+        if missing:
+            raise InvalidParametersError(f"key lacks {', '.join(missing)}")
+        return cls(**fields)
+
+
+def parse_key_values(text, parsers, error):
+    """{key: parsers[key](value)} from the `key = value` lines of key and
+    scenario files, where `#` starts a comment. A malformed line, a key
+    not in `parsers` or repeated, or a value whose parser raises
+    ValueError or KeyError raises `error` with the line number."""
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key or not value:
+            raise error(f"line {lineno}: expected 'key = value'")
+        if key not in parsers:
+            raise error(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise error(f"line {lineno}: repeated key {key!r}")
+        try:
+            values[key] = parsers[key](value)
+        except (ValueError, KeyError):
+            raise error(
+                f"line {lineno}: bad value {value!r} for {key}") from None
+    return values
 
 
 def _fixed_base_rows(base, q, n_rows):

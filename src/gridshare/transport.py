@@ -3,7 +3,7 @@
 The wire model is normative for all reported traffic and storage:
 scalars (field values, prices, aggregates, reveal components) are 32
 bits, a commitment is bits_q bits, the key broadcast is 3*bits_q +
-bits_p bits, and notifications are free. KB means 1024 bytes.
+bits_p bits, and notifications are free.
 """
 
 from __future__ import annotations
@@ -47,12 +47,6 @@ class Transcript:
 
     def store(self, entity, phase, bits):
         self.storage_bits[(entity, phase)] += bits
-
-    def traffic_kb(self, entity, phase):
-        return self.traffic_bits[(entity, phase)] / 8 / 1024
-
-    def storage_kb(self, entity, phase):
-        return self.storage_bits[(entity, phase)] / 8 / 1024
 
 
 def ta_id(n):

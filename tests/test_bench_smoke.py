@@ -11,7 +11,9 @@ counters that the clearing loop feeds, so a change that stops calling
 broadcasts fails here instead of zeroing a benchmark counter. The
 traced `slot` run pins the same counters for a secure slot, with its
 share rounds, so a change that calls `protocol._share_round` other than
-through the module fails here too."""
+through the module fails here too. Every run's first digest, that of op
+0 run untraced, is pinned, so a change that moves any workload output
+fails here."""
 
 import json
 import os
@@ -23,6 +25,11 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+# The digest of op 0's outputs at seed 1, per workload.
+OP0_DIGESTS = {"slot": "5c706da7cb5e482a", "plain": "c2cfe2a9ece955e4",
+               "detect": "11fc8cbf8501279a"}
+
+
 def _run_perfbench(workload, trace):
     done = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "run.py"),
@@ -30,8 +37,12 @@ def _run_perfbench(workload, trace):
          "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
     assert result["correct"] and result["failed"] == 0, done.stdout
+    digests, = (line.split()[1:] for line in lines
+                if line.startswith("digests: "))
+    assert digests[0] == OP0_DIGESTS[workload]
     return result
 
 

@@ -135,14 +135,17 @@ def test_compare_subcommand(capsys):
     assert "prices equal: True" in capsys.readouterr().out
 
 
-def test_keygen_subcommand(tmp_path):
+def test_keygen_subcommand(tmp_path, capsys):
     out = tmp_path / "key.txt"
-    code = cli.main(["keygen", "--bits-p", "12", "--bits-b", "12",
-                     "--mr-rounds", MR, "--out", str(out)])
-    assert code == 0
+    argv = ["keygen", "--bits-p", "12", "--bits-b", "12", "--mr-rounds", MR]
+    assert cli.main([*argv, "--out", str(out)]) == 0
     key = numtheory.GroupParams.parse(out.read_text())
     key.validate(rounds=TEST_MR_ROUNDS)
     assert key.bits_p == 12
+    # Without --out the key is printed instead.
+    capsys.readouterr()
+    assert cli.main(argv) == 0
+    assert numtheory.GroupParams.parse(capsys.readouterr().out) == key
 
 
 def test_keygen_defaults_match_a_default_run():

@@ -273,6 +273,32 @@ def test_detection_experiment_audits_reveal_side_targets():
     assert summary.untriggered_runs == 3
 
 
+@pytest.mark.parametrize("online,expected", [
+    # The real online phase flags all 12 effective targets in the right list.
+    (None, dict(true_positives=12, false_negatives=0, wrong_list=0)),
+    # A phase that flags nothing counts every target as missed.
+    ("empty", dict(true_positives=0, false_negatives=12, wrong_list=0,
+                   untriggered_runs=2)),
+    # A phase that swaps the lists flags every target in the wrong one.
+    ("swapped", dict(true_positives=12, false_negatives=0, wrong_list=12)),
+])
+def test_detection_experiment_tallies_misses(monkeypatch, online, expected):
+    run_online = protocol.run_online
+
+    def altered(*args, **kwargs):
+        report = run_online(*args, **kwargs)
+        if online == "empty":
+            return protocol.DetectionReport()
+        return dataclasses.replace(report, t_m_list=report.t_f_list,
+                                   t_f_list=report.t_m_list)
+
+    if online is not None:
+        monkeypatch.setattr(protocol, "run_online", altered)
+    summary = harness.detection_experiment(_config(n_tas=30), n_targets=6,
+                                           n_runs=2)
+    assert {k: getattr(summary, k) for k in expected} == expected
+
+
 def test_detection_experiment_honest_baseline():
     summary = harness.detection_experiment(_config(n_tas=10), n_targets=0,
                                            n_runs=3)
@@ -286,6 +312,15 @@ def test_detection_experiment_rejects_impossible_targets():
         with pytest.raises(InvalidConfigError):
             harness.detection_experiment(_config(n_tas=4),
                                          n_targets=n_targets, n_runs=n_runs)
+    # At this seed one of the four agents trades >= 0.5 kWh, and it is a
+    # buyer, so there is no surplus forecast to take the e_n target.
+    config = _config(n_tas=4, seed_profiles=3)
+    with pytest.raises(InvalidConfigError,
+                       match="only 1 agents trade >= 0.5 kWh; cannot target 3"):
+        harness.detection_experiment(config, n_targets=3, n_runs=1)
+    with pytest.raises(InvalidConfigError,
+                       match="only 0 agents forecast a surplus >= 0.5 kWh"):
+        harness.detection_experiment(config, n_targets=1, n_runs=1)
 
 
 def test_detection_experiment_rejects_bad_settings_before_the_head(

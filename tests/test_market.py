@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import math
 import operator
 import random
 
@@ -74,6 +76,28 @@ def test_profile_validation():
         market.TAProfile(0, "broker", 1.0, 0.0, 3.0, 30.0, 0.1)
     with pytest.raises(DegeneratePreferenceError):
         market.TAProfile(0, market.SELLER, 1.0, 0.0, 3.0, 30.0, 0.0)
+    with pytest.raises(DegeneratePreferenceError):
+        market.TAProfile(0, market.SELLER, 1.0, 0.0, 3.0, 30.0, -math.inf)
+    # Unchecked, each of these cleared against `buyer` in
+    # `central_clearing`: a NaN psi or an infinite chi or v_hi_init
+    # "converged" at gamma = 10.0 in one round, a NaN forecast ran to the
+    # cap at gamma ~ 37.8, and a seller with a deficit cleared with every
+    # trade at 0.
+    seller = market.TAProfile(0, market.SELLER, 10.0, 0.0, 3.0, 30.0, 0.1)
+    buyer = market.TAProfile(1, market.BUYER, -10.0, 0.0, 3.0, 30.0, 0.1)
+    nan, inf = math.nan, math.inf
+    for overrides in (dict(psi=nan), dict(chi=inf), dict(chi=nan),
+                      dict(v_hi_init=inf), dict(v_lo_init=nan),
+                      dict(v_lo_init=-inf), dict(E_n_tot=nan),
+                      dict(E_n_tot=inf), dict(E_n_tot=-10.0)):
+        with pytest.raises(InvalidConfigError):
+            dataclasses.replace(seller, **overrides)
+    with pytest.raises(InvalidConfigError):
+        dataclasses.replace(buyer, E_n_tot=10.0)
+    # No forecast is a legal forecast for either role.
+    for profile in (seller, buyer):
+        for zero in (0.0, -0.0):
+            dataclasses.replace(profile, E_n_tot=zero)
 
 
 def test_non_negativity_under_random_updates():

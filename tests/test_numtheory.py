@@ -24,6 +24,11 @@ def test_is_probable_prime_known_values():
     assert not numtheory.is_probable_prime(12, TEST_MR_ROUNDS, rng)
     assert numtheory.is_probable_prime(2**31 - 1, TEST_MR_ROUNDS, rng)
     assert _is_prime_trial(2**31 - 1)
+    for n in (1, 0, -7):
+        assert not numtheory.is_probable_prime(n, TEST_MR_ROUNDS, rng)
+    for rounds in (0, -1):
+        with pytest.raises(InvalidParametersError):
+            numtheory.is_probable_prime(11, rounds, rng)
 
 
 def test_is_probable_prime_matches_trial_division():
@@ -81,10 +86,18 @@ def test_group_params_validate_and_serialize(toy_key):
     toy_key.validate(rounds=TEST_MR_ROUNDS)
     parsed = numtheory.GroupParams.parse(toy_key.serialize())
     assert parsed == toy_key
+    # Key files share the scenario file syntax: a comment may fill a line
+    # or end one.
+    commented = "# toy key\n\n" + toy_key.serialize().replace(
+        "b = 2", "b = 2   # cofactor")
+    assert numtheory.GroupParams.parse(commented) == toy_key
     with pytest.raises(InvalidParametersError):
         numtheory.GroupParams(q=11, p=5, b=2, g=3, h=3).validate()
     with pytest.raises(InvalidParametersError):
         numtheory.GroupParams(q=12, p=5, b=2, g=3, h=4).validate()
+    # q = b*p + 1 holds, but q = 16 is composite.
+    with pytest.raises(InvalidParametersError, match="q is not prime"):
+        numtheory.GroupParams(q=16, p=5, b=3, g=3, h=4).validate()
 
 
 def test_group_params_parse_rejects_malformed_text(toy_key):
@@ -92,6 +105,11 @@ def test_group_params_parse_rejects_malformed_text(toy_key):
     for bad in (text.replace("q = 11", "q = abc"), text + "p 5\n"):
         with pytest.raises(InvalidParametersError):
             numtheory.GroupParams.parse(bad)
+    with pytest.raises(InvalidParametersError, match="line 3: bad value"):
+        numtheory.GroupParams.parse(text.replace("b = 2", "b = two"))
+    with pytest.raises(InvalidParametersError, match="key lacks g, h"):
+        numtheory.GroupParams.parse(text.replace("g = 3\n", "")
+                                    .replace("h = 4\n", ""))
 
 
 @pytest.mark.parametrize("extra", ["q = 47\n", "zz = 1\n", "q = 11\n"])

@@ -205,6 +205,8 @@ def test_lifecycle_errors(full_key):
     with pytest.raises(LifecycleError):
         protocol.run_online(tas, to, codec, transcript, beta=0.1,
                             sigma_policy=SIGMA)
+    with pytest.raises(LifecycleError):
+        protocol.run_commitment_plain(tas, codec, transcript)
 
 
 def test_run_keygen_accepts_only_fast_mode():

@@ -55,6 +55,10 @@ def test_encode_range_check():
     codec = sharing.FixedPointCodec(101, 1)
     with pytest.raises(EncodingRangeError):
         codec.encode(51)
+    # Signed encoding needs a modulus of 3 or more and a positive scale.
+    for modulus, scale in ((2, 1), (1, 1), (101, 0), (101, -1)):
+        with pytest.raises(EncodingRangeError):
+            sharing.FixedPointCodec(modulus, scale)
 
 
 def test_encode_rejects_non_finite():
@@ -268,8 +272,9 @@ def _negotiation_rounds(tas, secure, varsigma=1, signed_trade=None):
 
 def _fixed_trade_totals(kwh, n, secure):
     # One round in which each of n agents trades `kwh`, whatever its step.
-    tas = [protocol.TAgent(market.TAProfile(i, market.SELLER, kwh, 0.0, 3.0,
-                                            30.0, 0.1), random.Random(i))
+    role = market.SELLER if kwh >= 0 else market.BUYER
+    tas = [protocol.TAgent(market.TAProfile(i, role, kwh, 0.0, 3.0, 30.0,
+                                            0.1), random.Random(i))
            for i in range(n)]
     return [total for _, total in _negotiation_rounds(
         tas, secure, signed_trade=lambda st: st.profile.E_n_tot)]
