@@ -50,7 +50,7 @@ class TAProfile:
             raise InvalidConfigError(
                 f"TA {self.index}: E_n_tot, v_lo_init, v_hi_init, psi and "
                 "chi must be finite")
-        if (self.E_n_tot < 0 if self.role == SELLER else self.E_n_tot > 0):
+        if self.E_n_tot < 0 if self.role == SELLER else self.E_n_tot > 0:
             raise InvalidConfigError(
                 f"TA {self.index}: a {self.role} cannot have E_n_tot "
                 f"{self.E_n_tot}")
