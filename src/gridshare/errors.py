@@ -23,8 +23,7 @@ class EncodingRangeError(GridShareError):
 
 
 class InvalidPartyCountError(GridShareError):
-    """Secret sharing requested for fewer than two parties, or with a
-    different number of values and generators."""
+    """Secret sharing requested for fewer than two parties."""
 
 
 class IncompleteSharesError(GridShareError):

@@ -223,14 +223,16 @@ def _run_head(report, ck=None):
                     transcript, mode=config.keygen_mode,
                     rounds=config.mr_rounds)
             else:
+                # A generated key has exact sizes and generators of order
+                # p by construction; only a supplied one can be wrong.
+                ck.check_generators()
+                if (ck.bits_p, ck.bits_q) != (config.bits_p,
+                                              config.bits_p + config.bits_b):
+                    raise InvalidConfigError(
+                        f"the key has bits_p={ck.bits_p}, bits_q="
+                        f"{ck.bits_q}; the config needs {config.bits_p} "
+                        f"and {config.bits_p + config.bits_b}")
                 protocol.log_key_broadcast(ck, transcript)
-            ck.check_generators()
-            if (ck.bits_p, ck.bits_q) != (config.bits_p,
-                                          config.bits_p + config.bits_b):
-                raise InvalidConfigError(
-                    f"the key has bits_p={ck.bits_p}, bits_q={ck.bits_q}; "
-                    f"the config needs {config.bits_p} and "
-                    f"{config.bits_p + config.bits_b}")
         report.ck = ck
         slot_codec = sharing.FixedPointCodec(ck.p, config.scale)
     with _timed(report.timings, "negotiation"):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import market, numtheory, pedersen, sharing
 from .errors import (
@@ -114,20 +115,17 @@ def _share_round(tas, values, modulus, transcript, phase):
     """The plain round plus sharing: every agent first splits its value
     into N shares and sends N-1 of them to its peers, then submits in the
     plain round the sum of the N shares it received (own kept share
-    included). Returns the operator-side total.
-
-    `sharing.share_total` makes every agent's draw, over the negotiation
-    ring and over p alike, and returns that total, which the completing
-    shares fix at the plain round's sum. `split` and `reconstruct` stay
-    the reference for the shares and aggregates themselves.
+    included). `sharing.draw_shares` makes the draws, over the negotiation
+    ring and over p alike. Returns the plain round's sum, which is the
+    operator's total: each agent's completing share closes its row, so
+    the per-peer aggregates always sum to it, whatever was drawn.
     """
     n = len(tas)
-    total = sharing.share_total(values, [ta.rng for ta in tas], modulus)
+    sharing.draw_shares([ta.rng for ta in tas], modulus)
     for ta in tas:
         transcript.send(phase, SHARE_TRANSFER, ta.id, "PEERS",
                         SCALAR_BITS * (n - 1))
-    _plain_round(tas, values, modulus, transcript, phase)
-    return total
+    return _plain_round(tas, values, modulus, transcript, phase)
 
 
 def run_negotiation(tas, config, codec, transcript, secure=True,
@@ -346,9 +344,11 @@ def apply_adversary(scenarios, tas, slot_codec, rng):
                 perturbed = ta.reveal_E = _encode_actual(
                     slot_codec, slot_codec.decode(honest) * factor)
             else:
+                # Round half up in exact rationals: a float product
+                # overflows or drops low bits once p is wide.
                 honest = ta.r_n
-                perturbed = ta.reveal_r = (int(honest * factor + 0.5)
-                                           % slot_codec.modulus)
+                perturbed = ta.reveal_r = ((2 * honest * Fraction(factor) + 1)
+                                           // 2 % slot_codec.modulus)
             if perturbed != honest:
                 effective[idx] = sc.target_field
     return effective

@@ -12,11 +12,10 @@ every share is exactly uniform over Z_m. Over the ring no word is ever
 rejected and a share is its word.
 
 `split` and `reconstruct` are the reference: one agent's shares, and one
-sum of shares. A round runs through `share_total`, which makes every
-agent's draw and returns the sum of the values mod m. Each agent's
-completing share closes its row, so the per-peer aggregates always add
-up to that sum, whatever was drawn; the draws still fix every later draw
-from the same generators.
+sum of shares. A round only draws: `draw_shares` makes every agent's
+accepted draw and builds no share. The operator's total is the plain
+round's sum (`protocol._share_round`); the draws still fix every later
+draw from the same generators.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ def split(secret, n_parties, modulus, rng):
 
     The first n_parties-1 shares are the w-bit words of one accepted draw
     (the module docstring's rule), each reduced mod `modulus`; the last
-    completes the sum. `share_total` makes the same draw.
+    completes the sum. `draw_shares` makes the same draw.
     """
     width, draw = _draw_rule(modulus, n_parties)
     x = draw(rng)
@@ -106,21 +105,12 @@ def split(secret, n_parties, modulus, rng):
     return shares
 
 
-def share_total(values, rngs, modulus):
-    """Operator-side total of one (N,N) sharing round mod `modulus`:
-    the sum of the N per-peer aggregates of
-    `split(values[i], N, modulus, rngs[i])`, which is sum(values) mod
-    `modulus` whatever the shares are. Every agent still makes its
-    accepted draw, so every generator ends where `split` leaves it.
-    """
-    n = len(values)
-    if len(rngs) != n:
-        raise InvalidPartyCountError(
-            f"{n} values but {len(rngs)} generators")
-    _, draw = _draw_rule(modulus, n)
+def draw_shares(rngs, modulus):
+    """Every agent's accepted draw of one (N,N) round mod `modulus`, N =
+    len(rngs): each generator ends where `split` leaves it."""
+    _, draw = _draw_rule(modulus, len(rngs))
     for rng in rngs:
         draw(rng)
-    return sum(values) % modulus
 
 
 @functools.lru_cache(maxsize=16)

@@ -137,6 +137,23 @@ def test_supplied_key_must_match_the_config_sizes(monkeypatch, short_key):
                                  ck=key)
 
 
+def test_huge_randomness_perturbation_runs():
+    # A factor of 1e303 made the float r_n product infinite, and
+    # apply_adversary raised OverflowError instead of finishing the slot.
+    r_n = protocol.AdversaryScenario((0,), protocol.RANDOMNESS_FIELD,
+                                     1e303, 1e303)
+    for force_reveal in (False, True):
+        report = harness.run_scenario(harness.ScenarioConfig(
+            n_tas=4, mr_rounds=4, adversary=(r_n,),
+            force_reveal=force_reveal))
+        assert report.detection.t_f_list == ({0} if force_reveal else set())
+    # The detection experiment's r_n targets raised it the same way.
+    summary = harness.detection_experiment(
+        _config(n_tas=30, bits_b=32), n_targets=3,
+        perturb_range=(1e308, 1e308), n_runs=1)
+    assert summary.true_positives + summary.false_negatives == 3
+
+
 def test_run_scenario_secure_report_shape():
     report = harness.run_scenario(_config())
     assert report.status in ("converged", "iteration_cap")

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gridshare import harness, numtheory
-from gridshare.errors import InvalidParametersError
+from gridshare.errors import GenerationFailureError, InvalidParametersError
 from tests.conftest import TEST_MR_ROUNDS
 
 
@@ -58,6 +58,29 @@ def test_gen_prime_pair_deterministic():
 def test_gen_prime_pair_rejects_tiny_sizes():
     with pytest.raises(InvalidParametersError):
         numtheory.gen_prime_pair(3, 2, random.Random(0))
+
+
+class StuckRng:
+    """getrandbits always returns 3 and randrange(a, b) returns a."""
+
+    def __init__(self):
+        self.getrandbits_calls = 0
+
+    def getrandbits(self, k):
+        self.getrandbits_calls += 1
+        return 3
+
+    def randrange(self, a, b):
+        return a
+
+
+def test_gen_prime_pair_gives_up_after_fifty_primes():
+    # Every p drawn is 131 and every b is 131, so q = 17162 never has the
+    # 16 bits it needs.
+    rng = StuckRng()
+    with pytest.raises(GenerationFailureError):
+        numtheory.gen_prime_pair(8, 8, rng, rounds=4)
+    assert rng.getrandbits_calls == 50 * (1 + 10 * 8)
 
 
 def test_fast_mode_samples_are_subgroup_members():

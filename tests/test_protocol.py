@@ -1,5 +1,7 @@
 import collections
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -193,6 +195,29 @@ def test_perturbing_a_zero_value_is_ineffective(full_key):
     effective = protocol.apply_adversary((scenario,), tas, codec,
                                          random.Random(0))
     assert effective == {}
+
+
+@pytest.mark.parametrize("modulus,honest,lo,hi", [
+    (886387, 3, 0.5, 0.5),          # 3 * 1.5 = 4.5 rounds up to 5
+    (3 ** 161, 3 ** 160 + 12345, 0.05, 0.10),
+    ((1 << 1030) + 1, (1 << 1029) + 12345, 0.05, 0.10)])
+def test_randomness_perturbation_is_exact_in_any_field(modulus, honest, lo,
+                                                        hi):
+    # r_n * factor is rounded half up in exact rationals. In floats a
+    # 1030-bit r_n raised OverflowError, and a 256-bit one came back with
+    # its low 16 bits all 0.
+    codec = sharing.FixedPointCodec(modulus, 10_000)
+    tas = _make_tas([5.0])
+    tas[0].r_n = honest
+    scenario = protocol.AdversaryScenario((0,), protocol.RANDOMNESS_FIELD,
+                                          lo, hi)
+    factor = 1.0 + random.Random(0).uniform(lo, hi)
+    effective = protocol.apply_adversary((scenario,), tas, codec,
+                                         random.Random(0))
+    assert effective == {0: protocol.RANDOMNESS_FIELD}
+    assert tas[0].reveal_r == (math.floor(honest * Fraction(factor)
+                                          + Fraction(1, 2)) % modulus)
+    assert tas[0].reveal_r & 0xFFFF
 
 
 def test_lifecycle_errors(full_key):

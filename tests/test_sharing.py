@@ -102,16 +102,23 @@ def test_ring_split_is_one_bulk_draw():
     assert shares[:-1] == list(words)
 
 
+def _share_round(values, rngs, modulus=RING):
+    """protocol._share_round with one agent per generator."""
+    tas = [SimpleNamespace(id=f"TA{i}", rng=rng) for i, rng in enumerate(rngs)]
+    return protocol._share_round(tas, values, modulus, Transcript(),
+                                 "negotiation")
+
+
 def _assert_total_matches_split(values, make_rng, modulus=RING):
-    # share_total is the reconstruct of split's per-peer aggregates, and
-    # leaves every generator where split leaves it.
+    # The share round's total is the reconstruct of split's per-peer
+    # aggregates, and it leaves every generator where split leaves it.
     n = len(values)
     rngs = [make_rng(i) for i in range(n)]
     references = [make_rng(i) for i in range(n)]
     rows = [sharing.split(v, n, modulus, rng)
             for v, rng in zip(values, references)]
     aggregates = [sharing.reconstruct(col, modulus, n) for col in zip(*rows)]
-    assert (sharing.share_total(values, rngs, modulus)
+    assert (_share_round(values, rngs, modulus)
             == sharing.reconstruct(aggregates, modulus, n))
     assert ([rng.getstate() for rng in rngs]
             == [rng.getstate() for rng in references])
@@ -204,18 +211,7 @@ def test_draw_with_a_word_at_the_limit_is_redrawn(modulus, n):
 def test_ring_aggregates_rejects_fewer_than_two_parties(n):
     for modulus in (RING, 886387):
         with pytest.raises(InvalidPartyCountError):
-            sharing.share_total([7] * n, [random.Random(0)] * n, modulus)
-
-
-@pytest.mark.parametrize("n_rngs", [2, 4])
-def test_ring_aggregates_rejects_mismatched_generators(n_rngs):
-    for modulus in (RING, 886387):
-        rngs = [random.Random(i) for i in range(n_rngs)]
-        with pytest.raises(InvalidPartyCountError):
-            sharing.share_total([7, 8, 9], rngs, modulus)
-        # Nothing was drawn before the check.
-        assert ([rng.getstate() for rng in rngs]
-                == [random.Random(i).getstate() for i in range(n_rngs)])
+            sharing.draw_shares([random.Random(0)] * n, modulus)
 
 
 @pytest.mark.parametrize("modulus", [1, 0, -7])
@@ -224,7 +220,7 @@ def test_modulus_below_two_is_rejected_before_any_draw(modulus):
     with pytest.raises(InvalidParametersError):
         sharing.split(1, 3, modulus, rngs[0])
     with pytest.raises(InvalidParametersError):
-        sharing.share_total([1, 2, 3], rngs, modulus)
+        sharing.draw_shares(rngs, modulus)
     # Not a sum mod 0 (ZeroDivisionError) or a negative one mod -7.
     with pytest.raises(InvalidParametersError):
         sharing.reconstruct([1, 2], modulus)
@@ -232,16 +228,10 @@ def test_modulus_below_two_is_rejected_before_any_draw(modulus):
             == [random.Random(i).getstate() for i in range(3)])
 
 
-def _ring_round(values, seed):
-    tas = [SimpleNamespace(id=f"TA{i}", rng=random.Random(f"{seed}/{i}"))
-           for i in range(len(values))]
-    return protocol._share_round(tas, values, RING, Transcript(),
-                                 "negotiation")
-
-
 def test_ring_round_decodes_signed_aggregate():
     codec = sharing.FixedPointCodec(RING, 10_000)
-    total = _ring_round([codec.encode(-3.5), codec.encode(1.25)], seed=8)
+    total = _share_round([codec.encode(-3.5), codec.encode(1.25)],
+                         [random.Random(f"8/{i}") for i in range(2)])
     assert codec.decode(total) == -2.25
 
 
