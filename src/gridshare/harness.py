@@ -377,6 +377,10 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
     # An honest aggregate deviates by exactly zero, which even beta = 0
     # (no targets) does not trigger.
     beta = n_e_targets * perturb_range[0] * DETECT_MIN_TRADE_KWH / 2
+    if not (math.isfinite(sigma_frac) and math.isfinite(beta)):
+        raise InvalidConfigError(
+            f"perturb_range {perturb_range!r} is too large: the sigma_frac "
+            f"{sigma_frac!r} and beta {beta!r} derived from it must be finite")
     base = validate_config(replace(base_config, sigma_frac=sigma_frac,
                                    sigma_floor=0.0, beta=beta))
 

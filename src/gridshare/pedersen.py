@@ -7,9 +7,10 @@ from .errors import InvalidParametersError
 
 def commit(ck, message, randomness):
     """g^message * h^randomness mod q, as an int; exponents reduce mod
-    the group order p, then multiply out through the key's fixed-base
-    tables (`GroupParams.gh_power`). The key is checked once, when a slot
-    accepts it (`GroupParams.check_generators`), not on every commitment."""
+    the group order p, then multiply out through the key's joint
+    fixed-base table of g and h, one lookup per pair of exponent digits
+    (`GroupParams.gh_power`). The key is checked once, when a slot accepts
+    it (`GroupParams.check_generators`), not on every commitment."""
     return ck.gh_power(message % ck.p, randomness % ck.p)
 
 

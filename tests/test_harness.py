@@ -154,6 +154,15 @@ def test_huge_randomness_perturbation_runs():
     assert summary.true_positives + summary.false_negatives == 3
 
 
+def test_detection_rejects_range_whose_beta_overflows():
+    # Two e_n targets at 1e308 put beta at inf, which validate_config
+    # rejected as if the caller had set beta.
+    with pytest.raises(InvalidConfigError, match="perturb_range .* too large"):
+        harness.detection_experiment(
+            _config(n_tas=30, bits_b=32), n_targets=6,
+            perturb_range=(1e308, 1e308), n_runs=2)
+
+
 def test_run_scenario_secure_report_shape():
     report = harness.run_scenario(_config())
     assert report.status in ("converged", "iteration_cap")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -35,6 +36,44 @@ def test_is_probable_prime_matches_trial_division():
     rng = random.Random(2)
     for n in range(2, 20_000):
         assert numtheory.is_probable_prime(n, 16, rng) == _is_prime_trial(n), n
+
+
+# 2**1279 - 1 is a Mersenne prime, so 179 (the first prime after the
+# trial-division list) and 65521 (the last prime below 2**16) are the
+# smallest factors of these composites.
+@pytest.mark.parametrize("factor", [179, 181, 65521])
+def test_sieve_rejects_composite_without_pow(monkeypatch, factor):
+    n = factor * (2**1279 - 1)
+
+    def no_pow(*args):
+        raise AssertionError("the sieve should reject before any pow")
+
+    monkeypatch.setattr(numtheory, "pow", no_pow, raising=False)
+    rng, copy = random.Random(factor), random.Random(factor)
+    assert not numtheory.is_probable_prime(n, TEST_MR_ROUNDS, rng)
+    # The sieve draws the one witness Miller-Rabin would have drawn.
+    copy.randrange(2, n - 1)
+    assert rng.getstate() == copy.getstate()
+
+
+# Computed with Miller-Rabin alone, without the gcd sieve: a sieve or
+# witness change that moves any key, or where any generator ends, changes
+# this digest.
+KEY_STREAM_SHA256 = (
+    "658a4b0f7a6aab7a4edfb0b5bb11dae7a6ce2f67c642876ff474469ee5a7dc1f")
+
+
+def test_key_stream_is_pinned():
+    # 30 keys whose q candidates are 220-320 bits; about half of the
+    # candidates that reach the sieve are rejected by it.
+    digest = hashlib.sha256()
+    for seed in range(30):
+        rng = random.Random(f"key-stream/{seed}")
+        ck = numtheory.generate_group_params(20, 200 + 10 * (seed % 11), rng,
+                                             rounds=TEST_MR_ROUNDS)
+        digest.update(ck.serialize().encode())
+        digest.update(b"%d\n" % rng.getrandbits(64))
+    assert digest.hexdigest() == KEY_STREAM_SHA256
 
 
 def test_gen_prime_pair_structure_and_bits():
