@@ -256,17 +256,17 @@ def _run_tail(report, tas, slot_codec, adversary, adversary_rng,
     """
     config, transcript = report.config, report.transcript
     secure = config.mode == "secure"
-    to = protocol.Operator(ck=report.ck)
     with _timed(report.timings, "commitment"):
         if secure:
-            openings = protocol.run_commitment(tas, to, transcript)
+            commitments, e_total, r_total = protocol.run_commitment(
+                tas, report.ck, transcript)
         else:
             protocol.run_commitment_plain(tas, slot_codec, transcript)
     report.check_result = "accept"
     if secure:
         with _timed(report.timings, "commitment_check"):
             report.check_result = protocol.run_commitment_check(
-                to, *openings, transcript)
+                report.ck, commitments, e_total, r_total, transcript)
         if report.check_result == "reject":
             raise ProtocolAbortError("commitment check rejected; slot aborted")
     protocol.honest_actuals(tas, slot_codec)
@@ -275,7 +275,7 @@ def _run_tail(report, tas, slot_codec, adversary, adversary_rng,
     with _timed(report.timings, "online"):
         if secure:
             report.detection = protocol.run_online(
-                tas, to, slot_codec, transcript,
+                tas, report.ck, commitments, e_total, slot_codec, transcript,
                 resolve_beta(config, tas, slot_codec),
                 config.sigma_policy(), force_reveal=force_reveal(effective))
         else:
@@ -377,12 +377,19 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
     # An honest aggregate deviates by exactly zero, which even beta = 0
     # (no targets) does not trigger.
     beta = n_e_targets * perturb_range[0] * DETECT_MIN_TRADE_KWH / 2
-    if not (math.isfinite(sigma_frac) and math.isfinite(beta)):
+    if not math.isfinite(beta):
         raise InvalidConfigError(
-            f"perturb_range {perturb_range!r} is too large: the sigma_frac "
-            f"{sigma_frac!r} and beta {beta!r} derived from it must be finite")
+            f"perturb_range {perturb_range!r} is too large: beta is {beta!r}")
     base = validate_config(replace(base_config, sigma_frac=sigma_frac,
                                    sigma_floor=0.0, beta=beta))
+    # validate_config's field bound, for a trade scaled by the largest
+    # factor: past it a target is projected onto the field's range and
+    # can go unflagged.
+    top_trade = (1 + perturb_range[1]) * base.scale * MAX_TRADE_KWH
+    if top_trade >= 1 << (base.bits_p - 2):
+        raise InvalidConfigError(
+            f"perturb_range {perturb_range!r} is too large: a {MAX_TRADE_KWH} "
+            f"kWh trade scaled by it does not fit a {base.bits_p}-bit field")
 
     head = RunReport(config=base, transcript=Transcript())
     tas0, slot_codec = _run_head(head)

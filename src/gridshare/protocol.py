@@ -94,15 +94,6 @@ class TAgent:
         self.refuse_reveal = False
 
 
-class Operator:
-    """The semi-honest operator's protocol-side state for a slot."""
-
-    def __init__(self, ck=None):
-        self.ck = ck
-        self.stored_commitments = None
-        self.E_total = None        # encoded aggregate, mod group order
-
-
 def _plain_round(tas, values, modulus, transcript, phase):
     """One value per agent to the operator: every agent submits its value
     as one scalar, and the operator's total is their sum mod `modulus`."""
@@ -196,11 +187,10 @@ def log_key_broadcast(ck, transcript):
     transcript.store(TO_ID, "keygen", bits)
 
 
-def run_commitment(tas, to, transcript):
+def run_commitment(tas, ck, transcript):
     """Each agent commits to its forecast and shares (E_n, r_n); the
     aggregated openings and the commitment go to the operator."""
     phase = "commitment"
-    ck = to.ck
     commitments = []
     for ta in tas:
         if ta.E_n is None:
@@ -219,15 +209,12 @@ def run_commitment(tas, to, transcript):
     return commitments, e_total, r_total
 
 
-def run_commitment_check(to, commitments, e_total, r_total, transcript):
+def run_commitment_check(ck, commitments, e_total, r_total, transcript):
     """Homomorphic consistency check; on success the operator stores the
-    commitments and the aggregate forecast."""
+    commitments and the aggregate forecast, which the online phase takes."""
     phase = "commitment_check"
-    ck = to.ck
     if pedersen.product(commitments, ck) == pedersen.commit(ck, e_total,
                                                             r_total):
-        to.stored_commitments = list(commitments)
-        to.E_total = e_total
         transcript.store(TO_ID, phase,
                          len(commitments) * ck.bits_q + SCALAR_BITS)
         transcript.broadcast(phase, ACCEPT_NOTIFY, TO_ID, NOTIFY_BITS)
@@ -255,31 +242,29 @@ def _deviates(slot_codec, forecast_enc, actual_enc, sigma_policy):
     return abs(forecast - actual) > sigma_policy(forecast)
 
 
-def run_online(tas, to, slot_codec, transcript, beta, sigma_policy,
-               force_reveal=False):
+def run_online(tas, ck, commitments, E_total, slot_codec, transcript, beta,
+               sigma_policy, force_reveal=False):
     """Post-slot verification: share the metered actuals, compare the
-    aggregate against the committed total, and on deviation reveal and
-    classify every agent. `sigma_policy` maps a forecast in kWh to that
-    agent's deviation threshold."""
+    aggregate against the accepted total `E_total`, and on deviation
+    reveal and classify every agent against its accepted commitment.
+    `sigma_policy` maps a forecast in kWh to an agent's threshold."""
     phase = "online"
-    if to.stored_commitments is None:
-        raise LifecycleError("online phase requires an accepted commitment check")
     p = slot_codec.modulus
     actuals_enc = [_encode_actual(slot_codec, ta.e_actual) for ta in tas]
     e_total = _share_round(tas, actuals_enc, p, transcript, phase)
     for ta in tas:
         transcript.store(ta.id, phase, SCALAR_BITS)   # metered actual
     report = DetectionReport(e_total=slot_codec.decode(e_total))
-    deviation = abs(slot_codec.decode((to.E_total - e_total) % p))
+    deviation = abs(slot_codec.decode((E_total - e_total) % p))
     if deviation <= beta and not force_reveal:
         return report
     report.triggered = True
     transcript.broadcast(phase, REVEAL_REQUEST, TO_ID, NOTIFY_BITS)
-    for ta, c, e_enc in zip(tas, to.stored_commitments, actuals_enc):
+    for ta, c, e_enc in zip(tas, commitments, actuals_enc):
         reveal_E = ta.reveal_E if ta.reveal_E is not None else ta.E_n
         reveal_r = ta.reveal_r if ta.reveal_r is not None else ta.r_n
         transcript.send(phase, REVEAL, ta.id, TO_ID, 3 * SCALAR_BITS)
-        if ta.refuse_reveal or not pedersen.verify_open(to.ck, c, reveal_E,
+        if ta.refuse_reveal or not pedersen.verify_open(ck, c, reveal_E,
                                                         reveal_r):
             report.t_f_list.add(ta.profile.index)
             transcript.send(phase, FLAG_NOTIFY, TO_ID, ta.id, NOTIFY_BITS)

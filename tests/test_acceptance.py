@@ -200,11 +200,11 @@ def test_criterion_8_protocol_properties(full_key, detection_summary):
     for ta in tas:
         ta.state.E = 1.0
     protocol.store_forecasts(tas, codec, transcript)
-    to = protocol.Operator(ck=full_key)
-    commitments, e_tot, r_tot = protocol.run_commitment(tas, to, transcript)
+    commitments, e_tot, r_tot = protocol.run_commitment(tas, full_key,
+                                                        transcript)
     bad = list(commitments)
     bad[2] = pedersen.commit(full_key, tas[2].E_n + 1, tas[2].r_n)
-    assert protocol.run_commitment_check(to, bad, e_tot, r_tot,
+    assert protocol.run_commitment_check(full_key, bad, e_tot, r_tot,
                                          transcript) == "reject"
     # Secure/plain clearing-price bit-equality over 100 seeded scenarios.
     config = market.MarketConfig()

@@ -147,11 +147,13 @@ def test_huge_randomness_perturbation_runs():
             n_tas=4, mr_rounds=4, adversary=(r_n,),
             force_reveal=force_reveal))
         assert report.detection.t_f_list == ({0} if force_reveal else set())
-    # The detection experiment's r_n targets raised it the same way.
-    summary = harness.detection_experiment(
-        _config(n_tas=30, bits_b=32), n_targets=3,
-        perturb_range=(1e308, 1e308), n_runs=1)
-    assert summary.true_positives + summary.false_negatives == 3
+    # The detection experiment's r_n targets raised it the same way. It
+    # rejects such a range before any slot, since its e_n targets cannot
+    # be shown in the field.
+    with pytest.raises(InvalidConfigError, match="perturb_range .* too large"):
+        harness.detection_experiment(
+            _config(n_tas=30, bits_b=32), n_targets=3,
+            perturb_range=(1e308, 1e308), n_runs=1)
 
 
 def test_detection_rejects_range_whose_beta_overflows():
@@ -356,7 +358,9 @@ def test_detection_experiment_rejects_bad_settings_before_the_head(
     # targets and audit rule; a bad perturbation range (an
     # infinite bound would report the projected ring bound as the slot's
     # aggregate) would surface only at the first run's adversary, after
-    # the slot head, and one that is not two numbers as a TypeError.
+    # the slot head, and one that is not two numbers as a TypeError. A
+    # factor of 10 scales a 20 kWh trade past the 20-bit field, where a
+    # target is projected onto the field's range and can go unflagged.
     def no_head(*args):
         raise AssertionError("slot head ran")
 
@@ -371,7 +375,7 @@ def test_detection_experiment_rejects_bad_settings_before_the_head(
                                      (dict(adversary=(e_n,)), (0.05, 0.10)),
                                      ({}, (-0.1, 0.1)), ({}, (0.1, 0.05)),
                                      ({}, (0.05, inf)), ({}, (nan, 0.1)),
-                                     ({}, 5), ({}, (0.05,)),
+                                     ({}, (10, 10)), ({}, 5), ({}, (0.05,)),
                                      ({}, ("0.05", "0.1"))):
         with pytest.raises(InvalidConfigError):
             harness.detection_experiment(_config(n_tas=30, **overrides),

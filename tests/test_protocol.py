@@ -7,7 +7,8 @@ import pytest
 
 from gridshare import harness, market, pedersen, protocol, sharing
 from gridshare.errors import InvalidParametersError, LifecycleError
-from gridshare.transport import SCALAR_BITS, SHARE_TRANSFER, Transcript
+from gridshare.transport import (SCALAR_BITS, SHARE_TRANSFER, TO_ID,
+                                 Transcript)
 
 SCALE = 1000
 SIGMA = harness.ScenarioConfig().sigma_policy()
@@ -30,18 +31,19 @@ def _make_tas(forecasts, seed=0):
 
 
 def _committed_slot(full_key, forecasts, seed=0):
-    """Run commitment + check for fixed forecasts; returns ready state."""
+    """Run commitment + check for fixed forecasts; returns ready state,
+    with the accepted (ck, commitments, e_total) that `run_online` takes."""
     codec = _slot_codec(full_key)
     transcript = Transcript()
     tas = _make_tas(forecasts, seed)
     protocol.store_forecasts(tas, codec, transcript)
-    to = protocol.Operator(ck=full_key)
-    commitments, e_tot, r_tot = protocol.run_commitment(tas, to, transcript)
-    result = protocol.run_commitment_check(to, commitments, e_tot, r_tot,
-                                           transcript)
+    commitments, e_tot, r_tot = protocol.run_commitment(tas, full_key,
+                                                        transcript)
+    result = protocol.run_commitment_check(full_key, commitments, e_tot,
+                                           r_tot, transcript)
     assert result == "accept"
     protocol.honest_actuals(tas, codec)
-    return tas, to, codec, transcript
+    return tas, (full_key, commitments, e_tot), codec, transcript
 
 
 def test_store_forecasts_projects_onto_feasible_range():
@@ -56,9 +58,10 @@ def test_store_forecasts_projects_onto_feasible_range():
 
 
 def test_honest_end_to_end_accepts_and_stays_quiet(full_key):
-    tas, to, codec, transcript = _committed_slot(full_key, [5.0, -3.0, -2.0])
-    report = protocol.run_online(tas, to, codec, transcript, beta=0.1,
-                                 sigma_policy=SIGMA)
+    tas, accepted, codec, transcript = _committed_slot(full_key,
+                                                       [5.0, -3.0, -2.0])
+    report = protocol.run_online(tas, *accepted, codec, transcript,
+                                 beta=0.1, sigma_policy=SIGMA)
     assert not report.triggered
     assert report.t_m_list == set() and report.t_f_list == set()
     assert report.e_total == pytest.approx(0.0)
@@ -69,21 +72,22 @@ def test_corrupted_commitment_rejected(full_key):
     transcript = Transcript()
     tas = _make_tas([4.0, -4.0])
     protocol.store_forecasts(tas, codec, transcript)
-    to = protocol.Operator(ck=full_key)
-    commitments, e_tot, r_tot = protocol.run_commitment(tas, to, transcript)
+    commitments, e_tot, r_tot = protocol.run_commitment(tas, full_key,
+                                                        transcript)
     corrupted = [pedersen.commit(full_key, tas[0].E_n + 1, tas[0].r_n),
                  commitments[1]]
-    assert protocol.run_commitment_check(to, corrupted, e_tot, r_tot,
+    assert protocol.run_commitment_check(full_key, corrupted, e_tot, r_tot,
                                          transcript) == "reject"
-    assert to.stored_commitments is None
+    # The operator stores nothing on a reject.
+    assert transcript.storage_bits[(TO_ID, "commitment_check")] == 0
 
 
 def test_actual_deviation_lands_in_t_m(full_key):
     # A 5.0 kWh forecast metered at 5.5 kWh against sigma = 0.25.
-    tas, to, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
+    tas, accepted, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
     tas[0].e_actual = 5.5
-    report = protocol.run_online(tas, to, codec, transcript, beta=0.4,
-                                 sigma_policy=lambda _f: 0.25)
+    report = protocol.run_online(tas, *accepted, codec, transcript,
+                                 beta=0.4, sigma_policy=lambda _f: 0.25)
     assert report.triggered
     assert report.t_m_list == {0}
     assert report.t_f_list == set()
@@ -92,10 +96,10 @@ def test_actual_deviation_lands_in_t_m(full_key):
 def test_out_of_range_actual_lands_in_t_m(full_key):
     # A reading past the field's range is metered at the bound: the slot
     # runs on and the agent is flagged, in both modes.
-    tas, to, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
+    tas, accepted, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
     tas[0].e_actual = codec.max_magnitude + 100.0
-    report = protocol.run_online(tas, to, codec, transcript, beta=0.1,
-                                 sigma_policy=lambda _f: 0.25,
+    report = protocol.run_online(tas, *accepted, codec, transcript,
+                                 beta=0.1, sigma_policy=lambda _f: 0.25,
                                  force_reveal=True)
     assert report.t_m_list == {0}
     assert report.t_f_list == set()
@@ -119,10 +123,11 @@ def test_deviation_is_measured_on_decoded_kwh(full_key):
 
 
 def test_forecast_reveal_perturbation_lands_in_t_f(full_key):
-    tas, to, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
+    tas, accepted, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
     tas[1].reveal_E = (tas[1].E_n + 7) % full_key.p
-    report = protocol.run_online(tas, to, codec, transcript, beta=0.1,
-                                 sigma_policy=SIGMA, force_reveal=True)
+    report = protocol.run_online(tas, *accepted, codec, transcript,
+                                 beta=0.1, sigma_policy=SIGMA,
+                                 force_reveal=True)
     assert report.t_f_list == {1}
     assert report.t_m_list == set()
 
@@ -141,24 +146,26 @@ def test_forecast_reveal_beyond_the_field_is_projected_and_flagged():
 
 
 def test_randomness_reveal_perturbation_lands_in_t_f(full_key):
-    tas, to, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
+    tas, accepted, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
     tas[0].reveal_r = (tas[0].r_n + 1) % full_key.p
-    report = protocol.run_online(tas, to, codec, transcript, beta=0.1,
-                                 sigma_policy=SIGMA, force_reveal=True)
+    report = protocol.run_online(tas, *accepted, codec, transcript,
+                                 beta=0.1, sigma_policy=SIGMA,
+                                 force_reveal=True)
     assert report.t_f_list == {0}
 
 
 def test_reveal_refusal_lands_in_t_f(full_key):
-    tas, to, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
+    tas, accepted, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
     tas[1].refuse_reveal = True
-    report = protocol.run_online(tas, to, codec, transcript, beta=0.1,
-                                 sigma_policy=SIGMA, force_reveal=True)
+    report = protocol.run_online(tas, *accepted, codec, transcript,
+                                 beta=0.1, sigma_policy=SIGMA,
+                                 force_reveal=True)
     assert report.t_f_list == {1}
 
 
 def test_lists_are_exclusive_under_mixed_adversary(full_key):
-    tas, to, codec, transcript = _committed_slot(full_key,
-                                                 [6.0, 5.0, -4.0, -7.0])
+    tas, accepted, codec, transcript = _committed_slot(
+        full_key, [6.0, 5.0, -4.0, -7.0])
     rng = random.Random(0)
     scenarios = (
         protocol.AdversaryScenario((0,), protocol.E_FIELD),
@@ -168,7 +175,8 @@ def test_lists_are_exclusive_under_mixed_adversary(full_key):
     effective = protocol.apply_adversary(scenarios, tas, codec, rng)
     assert effective == {0: protocol.E_FIELD, 1: protocol.FORECAST_FIELD,
                          2: protocol.RANDOMNESS_FIELD}
-    report = protocol.run_online(tas, to, codec, transcript, beta=0.01,
+    report = protocol.run_online(tas, *accepted, codec, transcript,
+                                 beta=0.01,
                                  sigma_policy=lambda f: 0.02 * abs(f))
     assert report.t_m_list == {0}
     assert report.t_f_list == {1, 2}
@@ -177,19 +185,19 @@ def test_lists_are_exclusive_under_mixed_adversary(full_key):
 
 
 def test_zero_perturbation_is_a_no_op(full_key):
-    tas, to, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
+    tas, accepted, codec, transcript = _committed_slot(full_key, [5.0, -5.0])
     scenario = protocol.AdversaryScenario((0,), protocol.E_FIELD,
                                           perturb_lo=0.0, perturb_hi=0.0)
     effective = protocol.apply_adversary((scenario,), tas, codec,
                                          random.Random(0))
     assert effective == {}
-    report = protocol.run_online(tas, to, codec, transcript, beta=0.1,
-                                 sigma_policy=SIGMA)
+    report = protocol.run_online(tas, *accepted, codec, transcript,
+                                 beta=0.1, sigma_policy=SIGMA)
     assert not report.triggered
 
 
 def test_perturbing_a_zero_value_is_ineffective(full_key):
-    tas, to, codec, transcript = _committed_slot(full_key, [0.0, -0.0])
+    tas, accepted, codec, transcript = _committed_slot(full_key, [0.0, -0.0])
     scenario = protocol.AdversaryScenario((0, 1), protocol.E_FIELD,
                                           perturb_lo=0.5, perturb_hi=0.5)
     effective = protocol.apply_adversary((scenario,), tas, codec,
@@ -224,12 +232,8 @@ def test_lifecycle_errors(full_key):
     codec = _slot_codec(full_key)
     transcript = Transcript()
     tas = _make_tas([1.0, -1.0])
-    to = protocol.Operator(ck=full_key)
     with pytest.raises(LifecycleError):
-        protocol.run_commitment(tas, to, transcript)
-    with pytest.raises(LifecycleError):
-        protocol.run_online(tas, to, codec, transcript, beta=0.1,
-                            sigma_policy=SIGMA)
+        protocol.run_commitment(tas, full_key, transcript)
     with pytest.raises(LifecycleError):
         protocol.run_commitment_plain(tas, codec, transcript)
 
@@ -322,7 +326,6 @@ def test_operator_view_depends_only_on_totals(full_key):
         transcript = Transcript()
         tas = _make_tas(forecasts, seed=3)
         protocol.store_forecasts(tas, codec, transcript)
-        to = protocol.Operator(ck=full_key)
-        _, e_tot, _ = protocol.run_commitment(tas, to, transcript)
+        _, e_tot, _ = protocol.run_commitment(tas, full_key, transcript)
         results.append(e_tot)
     assert results[0] == results[1]
