@@ -73,10 +73,21 @@ def _write_csv(fh, rows):
     writer.writerows(rows)
 
 
+def _read_key(path, config):
+    """The `--key` file as a validated key; `run_scenario` checks that
+    its sizes match the config."""
+    if config.mode == "plain":
+        raise InvalidConfigError("--key is unused in plain mode")
+    with open(path, encoding="utf-8") as fh:
+        return numtheory.GroupParams.parse(fh.read()).validate(
+            rounds=config.mr_rounds)
+
+
 def cmd_run(args):
     config = build_config(args)
+    ck = _read_key(args.key, config) if args.key else None
     with _open_out(args.out) as fh:
-        report = harness.run_scenario(config)
+        report = harness.run_scenario(config, ck=ck)
         _print_report(report)
         if fh:
             _write_csv(fh, harness.phase_rows(report))
@@ -146,6 +157,7 @@ def build_parser():
     p = sub.add_parser("run", help="execute one full trading slot")
     _add_scenario_args(p)
     p.add_argument("--out", help="write the per-phase table as CSV")
+    p.add_argument("--key", help="use this keygen output as the key")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="scale one axis and record metrics")

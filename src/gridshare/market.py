@@ -109,22 +109,23 @@ def update_price(gamma, zeta, sum_E):
 
 
 def agent_step(state, gamma, zeta):
-    """One full per-agent iteration: dual updates, then the energy update.
-    Returns the agent's `signed_trade`, its term in the operator's sum.
-
-    Buyers use the sign-mirror of the seller energy drift (price and
-    preference swap roles); magnitudes stay non-negative for both roles.
-    """
+    """One full per-agent iteration: `update_duals`, then `update_energy`
+    (price and preference swapped for a buyer), flattened into one call
+    with the same float operations. Returns the agent's `signed_trade`."""
     p = state.profile
-    state.v_lo, state.v_hi = update_duals(
-        state.v_lo, state.v_hi, state.E, abs(p.E_n_tot), zeta)
-    if p.role == SELLER:
-        state.E = update_energy(state.E, gamma, zeta, p.psi, p.chi,
-                                state.v_lo, state.v_hi)
-    else:
-        state.E = update_energy(state.E, p.psi, zeta, gamma, p.chi,
-                                state.v_lo, state.v_hi)
-    return signed_trade(state)
+    seller = p.role == SELLER
+    price, preference = (gamma, p.psi) if seller else (p.psi, gamma)
+    E = state.E
+    # `x if x > 0.0 else 0.0` is `max(0.0, x)` for every float, -0.0 and
+    # NaN included, without the builtin call. TAProfile rejects chi <= 0.
+    v_lo = state.v_lo - zeta * E
+    v_lo = v_lo if v_lo > 0.0 else 0.0
+    v_hi = state.v_hi + zeta * (E - abs(p.E_n_tot))
+    v_hi = v_hi if v_hi > 0.0 else 0.0
+    E += zeta * ((preference - price + v_lo - v_hi) / p.chi - E)
+    E = E if E > 0.0 else 0.0
+    state.v_lo, state.v_hi, state.E = v_lo, v_hi, E
+    return E if seller else -E
 
 
 def signed_trade(state):

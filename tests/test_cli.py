@@ -1,5 +1,6 @@
 import argparse
 import csv
+import re
 
 import pytest
 
@@ -79,7 +80,7 @@ def test_subcommand_options_are_pinned():
                 "--worst-case", "--force-reveal", "--seed-profiles",
                 "--seed-crypto", "--seed-adversary", "-h", "--help"}
     expected = {
-        "run": scenario | {"--out"},
+        "run": scenario | {"--out", "--key"},
         "sweep": scenario | {"--axis", "--values", "--repeats", "--out"},
         "detect": scenario | {"--runs", "--targets"},
         "compare": scenario,
@@ -146,6 +147,48 @@ def test_keygen_subcommand(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(argv) == 0
     assert numtheory.GroupParams.parse(capsys.readouterr().out) == key
+
+
+def _without_seconds(text):
+    # The phase table's third column is wall time, the one varying field.
+    return re.sub(r"^(\S+\s+(?:TA|TO)\s+)\d+\.\d+", r"\1-", text,
+                  flags=re.MULTILINE)
+
+
+def test_run_with_a_keygen_key_matches_a_bare_run(tmp_path, capsys):
+    key = tmp_path / "key.txt"
+    assert cli.main(["keygen", "--mr-rounds", MR, "--out", str(key)]) == 0
+    capsys.readouterr()
+    run = ["run", "--n-tas", "6", "--mr-rounds", MR]
+    assert cli.main(run) == 0
+    bare = capsys.readouterr().out
+    assert cli.main([*run, "--key", str(key)]) == 0
+    keyed = capsys.readouterr().out
+    assert "keygen           TO" in bare
+    assert _without_seconds(keyed) == _without_seconds(bare)
+
+
+def test_run_rejects_bad_keys(tmp_path, capsys):
+    # A key that does not parse, fails validation or has other sizes than
+    # the config, or any key in plain mode, ends in status 2 before the
+    # slot prints anything.
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("q = 23\np = eleven\n")
+    broken = tmp_path / "broken.txt"
+    broken.write_text("q = 23\np = 11\nb = 3\ng = 4\nh = 9\n")
+    small = tmp_path / "small.txt"
+    assert cli.main(["keygen", "--bits-p", "12", "--bits-b", "12",
+                     "--mr-rounds", MR, "--out", str(small)]) == 0
+    capsys.readouterr()
+    run = ["run", "--n-tas", "6", "--mr-rounds", MR]
+    for argv in ([*run, "--key", str(malformed)],
+                 [*run, "--key", str(broken)],
+                 [*run, "--key", str(small)],
+                 [*run, "--key", str(small), "--mode", "plain"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert captured.out == "", argv
 
 
 def test_keygen_defaults_match_a_default_run():

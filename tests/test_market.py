@@ -117,6 +117,61 @@ def test_non_negativity_under_random_updates():
                                    rng.uniform(-400, 400)) >= 0
 
 
+def _reference_step(state, gamma, zeta):
+    """`agent_step` by its reference formulas: `update_duals`, then
+    `update_energy` (price and preference swapped for a buyer), then
+    `signed_trade`. Returns the new v_lo, v_hi and E, and the trade."""
+    p = state.profile
+    v_lo, v_hi = market.update_duals(state.v_lo, state.v_hi, state.E,
+                                     abs(p.E_n_tot), zeta)
+    price, preference = (gamma, p.psi) if p.role == market.SELLER else (
+        p.psi, gamma)
+    E = market.update_energy(state.E, price, zeta, preference, p.chi,
+                             v_lo, v_hi)
+    return v_lo, v_hi, E, market.signed_trade(
+        market.AgentState(p, v_lo, v_hi, E))
+
+
+def _step_cases():
+    """(magnitude, v_lo, v_hi, E, psi, chi, gamma, zeta) inputs: criterion
+    9's ranges, then edges where a projection meets -0.0 or clips to
+    exactly 0, and large steps."""
+    rng = random.Random(29)
+    for _ in range(100_000):
+        yield (rng.uniform(0, 20), rng.uniform(0, 5), rng.uniform(0, 20),
+               rng.uniform(-30, 30), rng.uniform(0, 50),
+               rng.uniform(0.05, 0.2), rng.uniform(0, 50),
+               rng.uniform(0.001, 0.2))
+    z = -0.0
+    for E in (z, 0.0):
+        for v_lo in (z, 0.0):
+            for v_hi in (z, 0.0):
+                for magnitude in (z, 0.0, 2.0):
+                    yield (magnitude, v_lo, v_hi, E, 30.0, 0.1, 10.0, 0.01)
+    yield (5.0, 1.0, 3.0, 2.0, 30.0, 0.1, 10.0, 0.5)      # v_lo: 1 - 1
+    yield (2.0, 3.0, 1.0, 0.0, 30.0, 0.1, 10.0, 0.5)      # v_hi: 1 - 1
+    yield (2.0, 0.0, 0.0, 1.0, 10.0, 1.0, 11.0, 0.5)      # E: 1 - 1
+    # The energy step's product underflows to -0.0 onto E = -0.0.
+    yield (0.0, 0.0, 0.0, z, 0.0, 1.0, 5e-324, 0.01)
+    yield (0.0, 0.0, 0.0, z, 5e-324, 1.0, 0.0, 0.01)
+    for zeta in (1.0, 7.5, 1e6):
+        yield (12.0, 4.0, 15.0, 8.0, 31.0, 0.09, 26.0, zeta)
+
+
+def test_agent_step_is_bit_equal_to_the_reference_formulas():
+    for magnitude, v_lo, v_hi, E, psi, chi, gamma, zeta in _step_cases():
+        for role, forecast in ((market.SELLER, magnitude),
+                               (market.BUYER, -magnitude)):
+            profile = market.TAProfile(0, role, forecast, v_lo, v_hi, psi,
+                                       chi)
+            state = market.AgentState(profile, v_lo, v_hi, E)
+            expected = _reference_step(state, gamma, zeta)
+            trade = market.agent_step(state, gamma, zeta)
+            got = (state.v_lo, state.v_hi, state.E, trade)
+            assert [x.hex() for x in got] == [x.hex() for x in expected], (
+                role, magnitude, v_lo, v_hi, E, psi, chi, gamma, zeta)
+
+
 def _fixed_point_profiles(gamma_init):
     # psi = gamma for both roles with zero duals and zero trades: every
     # update leaves the state unchanged.

@@ -238,7 +238,7 @@ def test_ring_round_decodes_signed_aggregate():
 def _negotiation_rounds(tas, secure, varsigma=1, signed_trade=None):
     """Run a worst-case negotiation of `tas` over the ring at scale 10^4
     and return each round's (trades, decoded total); `signed_trade`, if
-    given, replaces the market's trade of each agent state."""
+    given, replaces each agent's step by its trade of the agent state."""
     seen = []
     clearing_rounds = market.clearing_rounds
 
@@ -252,7 +252,8 @@ def _negotiation_rounds(tas, secure, varsigma=1, signed_trade=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(market, "clearing_rounds", recorded)
         if signed_trade is not None:
-            mp.setattr(market, "signed_trade", signed_trade)
+            mp.setattr(market, "agent_step",
+                       lambda st, gamma, zeta: signed_trade(st))
         protocol.run_negotiation(
             tas, market.MarketConfig(varsigma=varsigma),
             sharing.FixedPointCodec(RING, 10_000), Transcript(),
