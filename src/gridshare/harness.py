@@ -180,11 +180,14 @@ def measure_sizes(transcript, n_tas):
 
 
 def build_agents(config, profiles=None, run_label=""):
+    """One agent per profile. Only a secure slot's agents draw (shares and
+    r_n), so only they get a generator; plain agents get `rng=None`."""
     profiles = profiles or market.sample_profiles(
         config.n_tas, market.random_source(config.seed_profiles, "profiles"))
-    tas = [protocol.TAgent(p, market.random_source(
+    if config.mode != "secure":
+        return [protocol.TAgent(p, None) for p in profiles]
+    return [protocol.TAgent(p, market.random_source(
         config.seed_crypto, f"{run_label}ta{p.index}")) for p in profiles]
-    return tas
 
 
 def resolve_beta(config, tas, slot_codec):

@@ -79,7 +79,8 @@ class DetectionReport:
 
 
 class TAgent:
-    """One transactive agent's protocol-side state for a slot."""
+    """One transactive agent's protocol-side state for a slot; `rng`, which
+    draws its shares and r_n, is None in a plain slot."""
 
     def __init__(self, profile, rng):
         self.profile = profile

@@ -11,9 +11,11 @@ counters that the clearing loop feeds, so a change that stops calling
 broadcasts fails here instead of zeroing a benchmark counter. The
 traced `slot` run pins the same counters for a secure slot, with its
 share rounds, so a change that calls `protocol._share_round` other than
-through the module fails here too. Every run's first digest, that of op
-0 run untraced, is pinned, so a change that moves any workload output
-fails here."""
+through the module fails here too. Both pin `market.random_source`
+calls, so a change that seeds generators a plain slot never draws from,
+or drops one a secure slot needs, fails here rather than only costing
+memory. Every run's first digest, that of op 0 run untraced, is pinned,
+so a change that moves any workload output fails here."""
 
 import json
 import os
@@ -48,17 +50,23 @@ def _run_perfbench(workload, trace):
 
 # Per-op counters of a traced N=400 worst-case plain slot at seed 1:
 # 400 agents x 100 rounds of agent_step, one price signal per round.
+# Only the profiles and the adversary get a generator; plain agents draw
+# nothing.
 PLAIN_OP_COUNTS = {"market.agent_step.calls": 40000, "market.rounds": 100,
                    "sharing.codec.calls": 42101,
-                   "transport.send.calls": 40901}
+                   "transport.send.calls": 40901,
+                   "market.random_source.calls": 2}
 
 
 # Per-op counters of a traced N=400 worst-case secure slot at seed 1:
 # 100 negotiation share rounds, two commitment rounds and one online.
+# Generators: the profiles, one per agent and the adversary; the key is
+# reused.
 SLOT_OP_COUNTS = {"protocol.share_round.calls": 103,
                   "market.agent_step.calls": 40000,
                   "sharing.codec.calls": 42502,
-                  "transport.send.calls": 83304}
+                  "transport.send.calls": 83304,
+                  "market.random_source.calls": 402}
 
 
 def _counts(result, expected):

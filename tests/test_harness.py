@@ -197,6 +197,31 @@ def test_run_scenario_plain_mode():
         pytest.approx(20 * 32 / 8 / 1024)
 
 
+@pytest.mark.parametrize("mode, generators", [("plain", 2), ("secure", 12)])
+def test_only_secure_agents_get_generators(monkeypatch, full_key, mode,
+                                           generators):
+    # Generators made: profiles and adversary, plus one per agent in a
+    # secure slot only. The supplied key makes no keygen generator.
+    made, agents = [], []
+    original_source = market.random_source
+    original_build = harness.build_agents
+
+    def recording_source(*args, **kwargs):
+        made.append(args)
+        return original_source(*args, **kwargs)
+
+    def recording_build(*args, **kwargs):
+        agents.extend(original_build(*args, **kwargs))
+        return agents
+    monkeypatch.setattr(market, "random_source", recording_source)
+    monkeypatch.setattr(harness, "build_agents", recording_build)
+    harness.run_scenario(_config(mode=mode),
+                         ck=full_key if mode == "secure" else None)
+    assert len(made) == generators
+    assert len(agents) == 10
+    assert all((ta.rng is None) == (mode == "plain") for ta in agents)
+
+
 def test_measure_sizes_rejects_asymmetric_agents():
     transcript = Transcript()
     for ta in ("TA0", "TA1", "TA2"):

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 
 import pytest
@@ -54,6 +55,28 @@ def test_sieve_rejects_composite_without_pow(monkeypatch, factor):
     # The sieve draws the one witness Miller-Rabin would have drawn.
     copy.randrange(2, n - 1)
     assert rng.getstate() == copy.getstate()
+
+
+# A 65-bit Carmichael number whose three prime factors all exceed 2**16,
+# so it passes trial division, the gcd sieve and a base-2 Fermat test:
+# only Miller-Rabin's witnesses can reject it. The digest pins each
+# generator's next getrandbits(32) after the call, and so how many
+# witnesses were drawn.
+CARMICHAEL_65 = 1501081 * 3002161 * 4503241
+CARMICHAEL_STREAM_SHA256 = (
+    "d1a7693fb077552b24c00d8de64694af58c429389a94f1319ddbe6bf01db204b")
+
+
+def test_miller_rabin_rejects_carmichael_past_the_sieve():
+    n = CARMICHAEL_65
+    assert n.bit_length() == 65 and pow(2, n - 1, n) == 1
+    assert math.gcd(n, numtheory._sieve_product()) == 1
+    digest = hashlib.sha256()
+    for seed in range(20):
+        rng = random.Random(seed)
+        assert not numtheory.is_probable_prime(n, TEST_MR_ROUNDS, rng), seed
+        digest.update(rng.getrandbits(32).to_bytes(4, "little"))
+    assert digest.hexdigest() == CARMICHAEL_STREAM_SHA256
 
 
 # Computed with Miller-Rabin alone, without the gcd sieve: a sieve or
