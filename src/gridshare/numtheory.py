@@ -2,6 +2,8 @@
 
 Builds the prime-order subgroup used by the commitment scheme: primes
 p, q with q = b*p + 1 and two generators of the order-p subgroup of Z_q*.
+p and p0, a prime factor of b, pass Miller-Rabin; q is then proven
+prime by Pocklington's criterion on one witness.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from .errors import (
 )
 
 # Miller-Rabin round count used when verifying primes; a composite
-# passes with probability at most 4**-64.
+# passes with probability at most 4**-64. A generated key is unsound only
+# if its p or p0 is such a composite, as its q is proven prime.
 DEFAULT_MR_ROUNDS = 64
 
 # Digit width W, in exponent bits, of a key's joint fixed-base table of g
@@ -40,9 +43,7 @@ _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
 
 
 def is_probable_prime(n, rounds=DEFAULT_MR_ROUNDS, rng=None):
-    """Miller-Rabin primality test with random witnesses, after trial
-    division by the primes to 173 and, above 64 bits, a gcd with the
-    product of the primes below 2**16.
+    """Miller-Rabin primality test with random witnesses, after `_screen`.
 
     Returns False for certain composites; True means prime except with
     probability <= 4**(-rounds). Witnesses are drawn from `rng` so runs
@@ -50,20 +51,18 @@ def is_probable_prime(n, rounds=DEFAULT_MR_ROUNDS, rng=None):
     """
     if rounds < 1:
         raise InvalidParametersError("rounds must be >= 1")
-    if n < 2:
-        return False
-    for sp in _SMALL_PRIMES:
-        if n == sp:
-            return True
-        if n % sp == 0:
-            return False
+    if n <= _SMALL_PRIMES[-1]:
+        return n in _SMALL_PRIMES
     if rng is None:
         rng = random
-    if n.bit_length() > 64 and math.gcd(n, _sieve_product()) != 1:
-        # Such a composite fails the first witness except with negligible
-        # probability (Damgard-Landrock-Pomerance, Math. Comp. 1993); that
-        # witness is still drawn, so `rng` and every key stay unchanged.
-        rng.randrange(2, n - 1)
+    failed = _screen(n)
+    if failed:
+        if failed == "sieve":
+            # Such a composite fails the first witness except with
+            # negligible probability (Damgard-Landrock-Pomerance, Math.
+            # Comp. 1993); that witness is still drawn, so the generator
+            # moves as under Miller-Rabin alone.
+            rng.randrange(2, n - 1)
         return False
     d = n - 1
     r = 0
@@ -82,6 +81,18 @@ def is_probable_prime(n, rounds=DEFAULT_MR_ROUNDS, rng=None):
         else:
             return False
     return True
+
+
+def _screen(n):
+    """How n > 173 shows a small prime factor: "trial" for one of the
+    primes to 173, "sieve" for one below 2**16 (sought by a gcd above 64
+    bits only), or None if neither finds one."""
+    for sp in _SMALL_PRIMES:
+        if n % sp == 0:
+            return "trial"
+    if n.bit_length() > 64 and math.gcd(n, _sieve_product()) != 1:
+        return "sieve"
+    return None
 
 
 @functools.cache
@@ -104,26 +115,52 @@ def _random_prime(bits, rng, rounds):
             return cand
 
 
-def gen_prime_pair(bits_p, bits_b, rng, rounds=DEFAULT_MR_ROUNDS):
-    """Find primes (p, q) with q = b*p + 1 and a random cofactor b.
+def _pocklington(q, factors, a):
+    """Whether witness a proves q prime, given primes `factors` whose
+    product F divides q - 1 (Pocklington 1914; Brillhart-Lehmer-Selfridge,
+    Math. Comp. 1975): F > sqrt(q), a^(q-1) = 1 mod q and gcd(a^((q-1)/f)
+    - 1, q) = 1 for each f. a^(q-1) is y^f0 for y = a^((q-1)/f0), so a
+    composite costs one full-size `pow`."""
+    f_all = math.prod(factors)
+    if f_all * f_all <= q:
+        return False
+    f0, *rest = factors
+    y = pow(a, (q - 1) // f0, q)
+    if pow(y, f0, q) != 1 or math.gcd(y - 1, q) != 1:
+        return False
+    return all(math.gcd(pow(a, (q - 1) // f, q) - 1, q) == 1 for f in rest)
 
-    p has exactly bits_p bits and q exactly bits_p + bits_b bits (b is
-    resampled until the product lands on the target length, which keeps
-    downstream size accounting deterministic). The search draws up to 50
-    primes p and resamples b up to 10*bits_b times for each.
+
+def gen_prime_pair(bits_p, bits_b, rng, rounds=DEFAULT_MR_ROUNDS):
+    """Find primes (p, q) with q = b*p + 1 and a random cofactor b = 2*t*p0.
+
+    p has exactly bits_p bits and q exactly bits_p + bits_b bits, which
+    keeps size accounting deterministic: t is uniform over the range that
+    gives q that length. The prime p0, of ceil(bits_q/2) + 2 - bits_p bits
+    and left out when p alone exceeds sqrt(q), makes p*p0 > sqrt(q), so a
+    q that passes `_screen` is proven prime, given p and p0, by
+    `_pocklington` on one witness. The search draws up to 50 primes p,
+    each with its p0, and 10*bits_b values of t for each.
     """
     if bits_p < 8 or bits_b < 8:
         raise InvalidParametersError("bits_p and bits_b must each be >= 8")
     bits_q = bits_p + bits_b
+    # Below 2 bits no p0 is needed: p >= 2**ceil(bits_q/2) > sqrt(q).
+    bits_p0 = (bits_q + 1) // 2 + 2 - bits_p
     for _ in range(50):
         p = _random_prime(bits_p, rng, rounds)
+        factors = (p,)
+        if bits_p0 > 1:
+            factors = (_random_prime(bits_p0, rng, rounds), p)
+        step = 2 * math.prod(factors)
+        # The t with 2**(bits_q - 1) <= step*t + 1 < 2**bits_q.
+        t_lo = -(-((1 << (bits_q - 1)) - 1) // step)
+        t_hi = ((1 << bits_q) - 2) // step
         for _ in range(10 * bits_b):
-            b = rng.getrandbits(bits_b) | (1 << (bits_b - 1))
-            q = b * p + 1
-            if q.bit_length() != bits_q:
-                continue
-            if is_probable_prime(q, rounds, rng):
-                return p, q, b
+            q = step * rng.randrange(t_lo, t_hi + 1) + 1
+            if (_screen(q) is None
+                    and _pocklington(q, factors, rng.randrange(2, q - 1))):
+                return p, q, q // p
     raise GenerationFailureError(
         f"no prime pair found for bits_p={bits_p}, bits_b={bits_b}")
 
@@ -257,6 +294,9 @@ def _fixed_base_rows(base, q, n_rows):
 def generate_group_params(bits_p, bits_b, rng, rounds=DEFAULT_MR_ROUNDS):
     """Full key generation: a prime pair, then g and h drawn as i^b mod q
     for uniform i in Z_q*, which is uniform over the order-p subgroup.
+
+    As b = 2*t*p0, q is proven prime given p and p0: the key is unsound
+    only if a composite p or p0 passed Miller-Rabin (4**-rounds each).
 
     Any non-identity element generates that subgroup, since its order is
     prime; g and h are redrawn until both differ from 1 and each other.

@@ -81,7 +81,7 @@ def test_detection_summary_digest():
 # agents, adversary) and 125 in the experiment. Hashes each one's next
 # getrandbits(64). Negotiation shares are 32-bit words over Z_2^32.
 GOLDEN_GENERATORS_SHA256 = (
-    "ca22f2684f622b45adb4cbfa07a19a8164fda9324ee3944d41be65e263efab61")
+    "e4012d9c4d020d8d078e7794b1a077470778425a961741b071f7b85adc0edc82")
 
 
 def test_generator_end_states_digest(full_key, monkeypatch):

@@ -79,16 +79,15 @@ def test_miller_rabin_rejects_carmichael_past_the_sieve():
     assert digest.hexdigest() == CARMICHAEL_STREAM_SHA256
 
 
-# Computed with Miller-Rabin alone, without the gcd sieve: a sieve or
-# witness change that moves any key, or where any generator ends, changes
-# this digest.
+# A change to the search, the screen or the witnesses that moves any key,
+# or where any generator ends, changes this digest.
 KEY_STREAM_SHA256 = (
-    "658a4b0f7a6aab7a4edfb0b5bb11dae7a6ce2f67c642876ff474469ee5a7dc1f")
+    "a60bcc6747be284af2bc4f7cd23e927edd42c50c19511be69536a2d1183a4fa4")
 
 
 def test_key_stream_is_pinned():
-    # 30 keys whose q candidates are 220-320 bits; about half of the
-    # candidates that reach the sieve are rejected by it.
+    # 30 keys whose q candidates are 220-320 bits, each with a p0 of
+    # 92-142 bits.
     digest = hashlib.sha256()
     for seed in range(30):
         rng = random.Random(f"key-stream/{seed}")
@@ -127,22 +126,69 @@ class StuckRng:
 
     def __init__(self):
         self.getrandbits_calls = 0
+        self.randrange_calls = 0
 
     def getrandbits(self, k):
         self.getrandbits_calls += 1
         return 3
 
     def randrange(self, a, b):
+        self.randrange_calls += 1
         return a
 
 
 def test_gen_prime_pair_gives_up_after_fifty_primes():
-    # Every p drawn is 131 and every b is 131, so q = 17162 never has the
-    # 16 bits it needs.
+    # At 8 + 9 bits every p drawn is 131 and every p0 is 7, both found by
+    # trial division without a witness, and every t is the least, 36, so
+    # each q is 2*36*7*131 + 1 = 66025 = 5**2 * 19 * 139, which the screen
+    # rejects: 50 times p and p0, each with 10*9 draws of t.
     rng = StuckRng()
     with pytest.raises(GenerationFailureError):
-        numtheory.gen_prime_pair(8, 8, rng, rounds=4)
-    assert rng.getrandbits_calls == 50 * (1 + 10 * 8)
+        numtheory.gen_prime_pair(8, 9, rng, rounds=4)
+    assert rng.getrandbits_calls == 50 * 2
+    assert rng.randrange_calls == 50 * 10 * 9
+
+
+def _sieve(limit):
+    is_prime = bytearray([0, 0]) + bytearray([1]) * (limit - 2)
+    for i in range(2, math.isqrt(limit) + 1):
+        if is_prime[i]:
+            is_prime[i * i::i] = bytes(len(range(i * i, limit, i)))
+    return is_prime
+
+
+@pytest.mark.parametrize("factors", [(5, 3), (7, 13), (11, 5), (19, 43),
+                                     (31, 37), (3, 347), (257,), (1031,)])
+def test_pocklington_accepts_only_primes(factors):
+    # Every q = 2*t*F + 1 below 2**20, F the product of the factors, under
+    # the witnesses 2-39. While F > sqrt(q) the certificate must accept
+    # each prime under some witness and no composite under any; beyond
+    # that F proves nothing, and it must refuse every q. F > 2**10 puts
+    # every q in the first range.
+    limit = 1 << 20
+    is_prime = _sieve(limit)
+    f_all = math.prod(factors)
+    for q in range(2 * f_all + 1, limit, 2 * f_all):
+        accepted = [a for a in range(2, 40)
+                    if numtheory._pocklington(q, factors, a)]
+        assert bool(accepted) == (is_prime[q] and f_all * f_all > q), \
+            (q, accepted)
+
+
+# p0 has ceil(bits_q/2) + 2 - bits_p bits: 2, its least, at bits_p and
+# bits_b of 8 and 9; 1 at 10 + 8, where p alone exceeds sqrt(q) and no p0
+# is drawn, as wherever bits_p exceeds bits_b by 2 or more.
+@pytest.mark.parametrize("bits_p", [8, 9, 10, 20, 33, 64, 256])
+def test_gen_prime_pair_size_grid(bits_p):
+    for bits_b in (8, 9, 25, 100, 1000):
+        for seed in range(3 if bits_b < 1000 else 1):
+            rng = random.Random(f"size-grid/{bits_p}/{bits_b}/{seed}")
+            ck = numtheory.generate_group_params(bits_p, bits_b, rng,
+                                                 rounds=TEST_MR_ROUNDS)
+            assert ck.q == ck.b * ck.p + 1
+            assert (ck.bits_p, ck.bits_q) == (bits_p, bits_p + bits_b)
+            assert numtheory.is_probable_prime(ck.q, 64, random.Random(seed))
+            ck.check_generators()
 
 
 def test_fast_mode_samples_are_subgroup_members():
