@@ -179,15 +179,15 @@ def measure_sizes(transcript, n_tas):
     return traffic, storage
 
 
-def build_agents(config, profiles=None, run_label=""):
-    """One agent per profile. Only a secure slot's agents draw (shares and
-    r_n), so only they get a generator; plain agents get `rng=None`."""
-    profiles = profiles or market.sample_profiles(
+def build_agents(config):
+    """One agent per sampled profile. Only a secure slot's agents draw
+    (shares and r_n), so only they get a generator, else `rng=None`."""
+    profiles = market.sample_profiles(
         config.n_tas, market.random_source(config.seed_profiles, "profiles"))
     if config.mode != "secure":
         return [protocol.TAgent(p, None) for p in profiles]
     return [protocol.TAgent(p, market.random_source(
-        config.seed_crypto, f"{run_label}ta{p.index}")) for p in profiles]
+        config.seed_crypto, f"ta{p.index}")) for p in profiles]
 
 
 def resolve_beta(config, tas, slot_codec):
@@ -348,8 +348,8 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
 
     The slot head (key and negotiation) runs once, since the key is
     one-off and the forecasts do not depend on the adversary; each run
-    then executes the slot tail with fresh crypto and adversary
-    randomness.
+    then executes the slot tail with fresh adversary randomness and the
+    next stretch of each agent's one generator, carried on from the head.
     Targets rotate through the three fields and are drawn among agents
     with a non-negligible trade, since scaling a zero value changes
     nothing observable.
@@ -397,7 +397,6 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
     head = RunReport(config=base, transcript=Transcript())
     tas0, slot_codec = _run_head(head)
     forecasts = {ta.profile.index: ta.E_n for ta in tas0}
-    profiles = [ta.profile for ta in tas0]
 
     eligible = [i for i, e in forecasts.items()
                 if abs(slot_codec.decode(e)) >= DETECT_MIN_TRADE_KWH]
@@ -419,7 +418,7 @@ def detection_experiment(base_config, n_targets=15, perturb_range=(0.05, 0.10),
                      + list(protocol.REVEAL_FIELDS) * n_targets)
     summary = DetectionSummary(runs=n_runs, targets_per_run=n_targets)
     for run in range(n_runs):
-        tas = build_agents(base, profiles=profiles, run_label=f"run{run}/")
+        tas = [protocol.TAgent(ta.profile, ta.rng) for ta in tas0]
         for ta in tas:
             ta.E_n = forecasts[ta.profile.index]
 

@@ -11,11 +11,12 @@ counters that the clearing loop feeds, so a change that stops calling
 broadcasts fails here instead of zeroing a benchmark counter. The
 traced `slot` run pins the same counters for a secure slot, with its
 share rounds, so a change that calls `protocol._share_round` other than
-through the module fails here too. Both pin `market.random_source`
+through the module fails here too. All three pin `market.random_source`
 calls, so a change that seeds generators a plain slot never draws from,
-or drops one a secure slot needs, fails here rather than only costing
-memory. Every run's first digest, that of op 0 run untraced, is pinned,
-so a change that moves any workload output fails here."""
+drops one a secure slot needs or reseeds agents for each detection run,
+fails here rather than only costing time or memory. Every run's first
+digest, that of op 0 run untraced, is pinned, so a change that moves any
+workload output fails here."""
 
 import json
 import os
@@ -69,6 +70,14 @@ SLOT_OP_COUNTS = {"protocol.share_round.calls": 103,
                   "market.random_source.calls": 402}
 
 
+# Per-op counters of a traced detection op at seed 1 (N=100, 80 runs,
+# each triggered): per run, 100 commitments, the check's one and 100
+# reveals opened. Generators: the profiles, one per agent that it keeps
+# for every run, the key and one adversary per run.
+DETECT_OP_COUNTS = {"pedersen.commit.calls": 16080,
+                    "market.random_source.calls": 182}
+
+
 def _counts(result, expected):
     return {name: result["metrics"][name]["value"] for name in expected}
 
@@ -86,4 +95,5 @@ def test_perfbench_slot_traced_smoke():
 
 
 def test_perfbench_detect_traced_smoke():
-    _run_perfbench("detect", 1)
+    result = _run_perfbench("detect", 1)
+    assert _counts(result, DETECT_OP_COUNTS) == DETECT_OP_COUNTS

@@ -78,10 +78,12 @@ def test_detection_summary_digest():
 # Generators made through market.random_source: a secure N=10 worst-case
 # slot with forced reveals under the full key, then a detection experiment
 # at N=30 (3 runs of 3 targets): 12 generators in the slot (profiles, 10
-# agents, adversary) and 125 in the experiment. Hashes each one's next
-# getrandbits(64). Negotiation shares are 32-bit words over Z_2^32.
+# agents, adversary) and 35 in the experiment (profiles, 30 agents that
+# draw every run's r_n and shares, keygen, one adversary per run). Hashes
+# each one's next getrandbits(64). Negotiation shares are 32-bit words
+# over Z_2^32.
 GOLDEN_GENERATORS_SHA256 = (
-    "e4012d9c4d020d8d078e7794b1a077470778425a961741b071f7b85adc0edc82")
+    "de5f13b0a3df1f8d1236bad774f86b3257afadc0069a622f6932936dad8528ce")
 
 
 def test_generator_end_states_digest(full_key, monkeypatch):
@@ -98,7 +100,7 @@ def test_generator_end_states_digest(full_key, monkeypatch):
     harness.detection_experiment(
         harness.ScenarioConfig(n_tas=30, mr_rounds=64), n_targets=3,
         n_runs=3)
-    assert len(made) == 137
+    assert len(made) == 47
     draws = b"".join(rng.getrandbits(64).to_bytes(8, "little")
                      for rng in made)
     assert hashlib.sha256(draws).hexdigest() == GOLDEN_GENERATORS_SHA256

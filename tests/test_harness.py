@@ -319,11 +319,11 @@ def test_detection_experiment_audits_reveal_side_targets():
     summary = harness.detection_experiment(_config(n_tas=30), n_targets=6,
                                            perturb_range=(0.0, 2e-6),
                                            n_runs=10)
-    assert summary.true_positives == summary.t_f_total == 8
+    assert summary.true_positives == summary.t_f_total == 6
     assert summary.t_m_total == 0
     assert summary.false_negatives == summary.false_positives == 0
     assert summary.wrong_list == 0
-    assert summary.untriggered_runs == 3
+    assert summary.untriggered_runs == 4
 
 
 @pytest.mark.parametrize("online,expected", [
@@ -357,6 +357,37 @@ def test_detection_experiment_honest_baseline():
                                            n_runs=3)
     assert summary.untriggered_runs == 3
     assert summary.true_positives == summary.false_positives == 0
+
+
+def test_detection_runs_draw_from_the_head_agents_generators(monkeypatch):
+    # Generators: the profiles, one per agent, the key and one adversary
+    # per run. Each agent draws every run's shares and r_n from the one
+    # generator it negotiated with.
+    made = []
+    original = market.random_source
+
+    def recording(*args, **kwargs):
+        made.append(args)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(market, "random_source", recording)
+    harness.detection_experiment(_config(n_tas=30), n_targets=6, n_runs=3)
+    assert len(made) == 2 + 30 + 3
+
+
+def test_detection_runs_commit_with_fresh_randomness(monkeypatch):
+    # Each run is the next stretch of every agent's stream, so no two runs
+    # commit with the same r_n vector, as they would if a run reseeded or
+    # copied the generators.
+    committed = []
+    run_commitment = protocol.run_commitment
+
+    def recording(tas, *args, **kwargs):
+        result = run_commitment(tas, *args, **kwargs)
+        committed.append(tuple(ta.r_n for ta in tas))
+        return result
+    monkeypatch.setattr(protocol, "run_commitment", recording)
+    harness.detection_experiment(_config(n_tas=30), n_targets=6, n_runs=5)
+    assert len(committed) == len(set(committed)) == 5
 
 
 def test_detection_experiment_rejects_impossible_targets():

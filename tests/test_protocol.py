@@ -329,3 +329,38 @@ def test_operator_view_depends_only_on_totals(full_key):
         _, e_tot, _ = protocol.run_commitment(tas, full_key, transcript)
         results.append(e_tot)
     assert results[0] == results[1]
+
+
+def test_public_price_gives_one_agent_its_peers_trade_at_n2(monkeypatch):
+    # gamma_k = max(0, gamma_{k-1} + zeta * sum_E): while the new price
+    # stays above 0, anyone who hears two consecutive price broadcasts
+    # reads the round's quantised sum, shares or not. At N=2 one agent
+    # subtracts its own quantised trade and has its peer's.
+    config = harness.ScenarioConfig(n_tas=2, worst_case=True)
+    market_config = config.market_config()
+    codec = sharing.FixedPointCodec(sharing.NEGOTIATION_MODULUS, config.scale)
+    clearing_rounds, rounds = market.clearing_rounds, []
+
+    def recording(states, *args, **kwargs):
+        for k, gamma, total, status in clearing_rounds(states, *args,
+                                                       **kwargs):
+            rounds.append((gamma, [codec.encode(market.signed_trade(st))
+                                   for st in states]))
+            yield k, gamma, total, status
+    monkeypatch.setattr(market, "clearing_rounds", recording)
+    protocol.run_negotiation(harness.build_agents(config), market_config,
+                             codec, Transcript(), worst_case=True)
+
+    def centred(v):
+        return v - codec.modulus if v > codec.modulus // 2 else v
+    gamma, read = market_config.gamma_init, 0
+    for gamma_new, (own, peer) in rounds:
+        if gamma_new > 0:
+            heard = round((gamma_new - gamma) / market_config.zeta
+                          * config.scale)
+            assert heard - centred(own) == centred(peer)
+            read += 1
+        gamma = gamma_new
+    # At these seeds the price stays above 0 throughout, so every round
+    # gives the peer's trade away.
+    assert read == len(rounds) == config.varsigma
