@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import statistics
 import time
 import typing
 from dataclasses import dataclass, field, replace
@@ -164,15 +163,15 @@ def measure_sizes(transcript, n_tas):
     traffic, storage = {}, {}
     tables = ((transcript.traffic_bits, "traffic", traffic),
               (transcript.storage_bits, "storage", storage))
-    ta0 = ta_id(0)
+    ta0, *others = map(ta_id, range(n_tas))
     for phase in PHASES:
         for counters, what, table in tables:
             expected = counters.get((ta0, phase), 0)
-            for n in range(1, n_tas):
-                got = counters.get((ta_id(n), phase), 0)
+            for ta in others:
+                got = counters.get((ta, phase), 0)
                 if got != expected:
                     raise AsymmetricTranscriptError(
-                        f"{ta_id(n)} {phase} {what} is {got} bits, "
+                        f"{ta} {phase} {what} is {got} bits, "
                         f"{ta0} has {expected}")
             table[phase] = {"TA": expected / 8 / 1024,
                             "TO": counters.get((TO_ID, phase), 0) / 8 / 1024}
@@ -485,7 +484,10 @@ def sweep(config, axis, values, repeats=1):
         reports = [run_scenario(cfg) for _ in range(repeats)]
         for repeated in zip(*map(phase_rows, reports)):
             row = {"axis_value": value, **repeated[0]}
-            row["seconds"] = statistics.median(r["seconds"] for r in repeated)
+            seconds = sorted(r["seconds"] for r in repeated)
+            mid = len(seconds) // 2
+            row["seconds"] = (seconds[mid] if len(seconds) % 2
+                              else (seconds[mid - 1] + seconds[mid]) / 2)
             rows.append(row)
     return rows
 

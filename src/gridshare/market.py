@@ -108,24 +108,37 @@ def update_price(gamma, zeta, sum_E):
     return max(0.0, gamma + zeta * sum_E)
 
 
-def agent_step(state, gamma, zeta):
-    """One full per-agent iteration: `update_duals`, then `update_energy`
-    (price and preference swapped for a buyer), flattened into one call
-    with the same float operations. Returns the agent's `signed_trade`."""
-    p = state.profile
-    seller = p.role == SELLER
-    price, preference = (gamma, p.psi) if seller else (p.psi, gamma)
-    E = state.E
-    # `x if x > 0.0 else 0.0` is `max(0.0, x)` for every float, -0.0 and
-    # NaN included, without the builtin call. TAProfile rejects chi <= 0.
-    v_lo = state.v_lo - zeta * E
-    v_lo = v_lo if v_lo > 0.0 else 0.0
-    v_hi = state.v_hi + zeta * (E - abs(p.E_n_tot))
-    v_hi = v_hi if v_hi > 0.0 else 0.0
-    E += zeta * ((preference - price + v_lo - v_hi) / p.chi - E)
-    E = E if E > 0.0 else 0.0
-    state.v_lo, state.v_hi, state.E = v_lo, v_hi, E
-    return E if seller else -E
+def agent_rows(states):
+    """The rows `agent_step` reads, built once per clearing loop: each
+    state with its role as `seller`, its psi and chi, and |E_n_tot|."""
+    return [(st, st.profile.role == SELLER, st.profile.psi, st.profile.chi,
+             abs(st.profile.E_n_tot)) for st in states]
+
+
+def agent_step(agents, gamma, zeta):
+    """One round of every agent's update over `agent_rows`: per agent,
+    `update_duals`, then `update_energy` (price and preference swapped
+    for a buyer), with the same float operations in the same order.
+    Writes each state in place and returns the agents' `signed_trade`s."""
+    trades = []
+    append = trades.append
+    for st, seller, psi, chi, magnitude in agents:
+        E = st.E
+        # `x if x > 0.0 else 0.0` is `max(0.0, x)` for every float, -0.0
+        # and NaN included, without the builtin call. TAProfile rejects
+        # chi <= 0.
+        v_lo = st.v_lo - zeta * E
+        v_lo = v_lo if v_lo > 0.0 else 0.0
+        v_hi = st.v_hi + zeta * (E - magnitude)
+        v_hi = v_hi if v_hi > 0.0 else 0.0
+        if seller:
+            E += zeta * ((psi - gamma + v_lo - v_hi) / chi - E)
+        else:
+            E += zeta * ((gamma - psi + v_lo - v_hi) / chi - E)
+        E = E if E > 0.0 else 0.0
+        st.v_lo, st.v_hi, st.E = v_lo, v_hi, E
+        append(E if seller else -E)
+    return trades
 
 
 def signed_trade(state):
@@ -181,15 +194,17 @@ class ClearingResult:
 
 
 def clearing_rounds(states, config, aggregate, worst_case=False):
-    """The one clearing loop: each round every agent steps at the price,
-    `aggregate` maps the signed trades to the imbalance, and the price
-    moves against it. Yields (k, new gamma, imbalance, status) per round
-    and stops after the first round whose status is not CONTINUE."""
+    """The one clearing loop: each round one `agent_step` call, looked up
+    through the module, steps every agent at the price, `aggregate` maps
+    the signed trades to the imbalance, and the price moves against it.
+    Yields (k, new gamma, imbalance, status) per round, with every state
+    already at that round, and stops after the first round whose status
+    is not CONTINUE."""
+    rows = agent_rows(states)
     gamma, k, status = config.gamma_init, 0, CONTINUE
     while status == CONTINUE:
         k += 1
-        total = aggregate([agent_step(st, gamma, config.zeta)
-                           for st in states])
+        total = aggregate(agent_step(rows, gamma, config.zeta))
         gamma_new = update_price(gamma, config.zeta, total)
         status = check_convergence(gamma_new, gamma, k + 1, config,
                                    worst_case)

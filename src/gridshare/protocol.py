@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import market, numtheory, pedersen, sharing
 from .errors import (
@@ -330,11 +329,12 @@ def apply_adversary(scenarios, tas, slot_codec, rng):
                 perturbed = ta.reveal_E = _encode_actual(
                     slot_codec, slot_codec.decode(honest) * factor)
             else:
-                # Round half up in exact rationals: a float product
+                # Round half up in exact integers: a float product
                 # overflows or drops low bits once p is wide.
                 honest = ta.r_n
-                perturbed = ta.reveal_r = ((2 * honest * Fraction(factor) + 1)
-                                           // 2 % slot_codec.modulus)
+                num, den = factor.as_integer_ratio()
+                perturbed = ta.reveal_r = ((2 * honest * num + den)
+                                           // (2 * den) % slot_codec.modulus)
             if perturbed != honest:
                 effective[idx] = sc.target_field
     return effective

@@ -7,8 +7,9 @@ each traced op's outputs and randomness fingerprint with an untraced
 run of the same op, through the commitment and online share rounds
 that `plain` never makes. The traced `plain` run pins the per-op
 counters that the clearing loop feeds, so a change that stops calling
-`market.agent_step` through the module or merges the per-round price
-broadcasts fails here instead of zeroing a benchmark counter. The
+`market.agent_step`, one call per round that steps every agent, through
+the module or merges the per-round price broadcasts fails here instead
+of zeroing a benchmark counter. The
 traced `slot` run pins the same counters for a secure slot, with its
 share rounds, so a change that calls `protocol._share_round` other than
 through the module fails here too. All three pin `market.random_source`
@@ -50,10 +51,10 @@ def _run_perfbench(workload, trace):
 
 
 # Per-op counters of a traced N=400 worst-case plain slot at seed 1:
-# 400 agents x 100 rounds of agent_step, one price signal per round.
-# Only the profiles and the adversary get a generator; plain agents draw
-# nothing.
-PLAIN_OP_COUNTS = {"market.agent_step.calls": 40000, "market.rounds": 100,
+# 100 rounds, each with one agent_step call over all 400 agents and one
+# price signal. Only the profiles and the adversary get a generator;
+# plain agents draw nothing.
+PLAIN_OP_COUNTS = {"market.agent_step.calls": 100, "market.rounds": 100,
                    "sharing.codec.calls": 42101,
                    "transport.send.calls": 40901,
                    "market.random_source.calls": 2}
@@ -64,7 +65,7 @@ PLAIN_OP_COUNTS = {"market.agent_step.calls": 40000, "market.rounds": 100,
 # Generators: the profiles, one per agent and the adversary; the key is
 # reused.
 SLOT_OP_COUNTS = {"protocol.share_round.calls": 103,
-                  "market.agent_step.calls": 40000,
+                  "market.agent_step.calls": 100,
                   "sharing.codec.calls": 42502,
                   "transport.send.calls": 83304,
                   "market.random_source.calls": 402}

@@ -1,9 +1,13 @@
 import argparse
 import csv
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import gridshare
 from gridshare import cli, harness, numtheory
 from tests.conftest import TEST_MR_ROUNDS
 
@@ -23,6 +27,20 @@ def test_run_subcommand(tmp_path, capsys):
     assert {r["phase"] for r in rows} == {"negotiation", "keygen",
                                           "commitment", "commitment_check",
                                           "online"}
+
+
+def test_import_loads_no_exact_arithmetic_or_statistics_modules():
+    # Each costs start-up time on every CLI call, and the package needs
+    # none of them.
+    src = os.path.dirname(os.path.dirname(gridshare.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import gridshare; "
+         "print(sorted({'statistics', 'fractions', 'decimal'} "
+         "& set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_rejects_bad_config(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import statistics
 
 import pytest
 
@@ -268,6 +269,19 @@ def test_sweep_axes_and_csv_schema():
         harness.sweep(_config(), "n_tas", [4], repeats=0)
     with pytest.raises(InvalidConfigError):
         harness.sweep(_config(), "n_tas", [4.5])
+
+
+@pytest.mark.parametrize("repeats", [1, 3, 4])
+def test_sweep_reports_the_median_seconds_of_its_repeats(monkeypatch,
+                                                         repeats):
+    seconds = iter([0.5, 0.125, 0.25, 1.0][:repeats] * 2)
+    monkeypatch.setattr(harness, "run_scenario", lambda cfg: next(seconds))
+    monkeypatch.setattr(harness, "phase_rows",
+                        lambda s: [{"phase": "x", "seconds": s}])
+    rows = harness.sweep(_config(), "n_tas", [4, 6], repeats=repeats)
+    median = statistics.median([0.5, 0.125, 0.25, 1.0][:repeats])
+    assert rows == [{"axis_value": n, "phase": "x", "seconds": median}
+                    for n in (4, 6)]
 
 
 def test_single_value_sweep_matches_run_scenario():

@@ -1,5 +1,7 @@
+import array
 import dataclasses
 import functools
+import itertools
 import math
 import operator
 import random
@@ -8,6 +10,7 @@ import pytest
 
 from gridshare import market, sharing
 from gridshare.errors import DegeneratePreferenceError, InvalidConfigError
+from tests import reference_slot
 
 
 def test_update_duals_hand_values():
@@ -117,59 +120,51 @@ def test_non_negativity_under_random_updates():
                                    rng.uniform(-400, 400)) >= 0
 
 
-def _reference_step(state, gamma, zeta):
-    """`agent_step` by its reference formulas: `update_duals`, then
-    `update_energy` (price and preference swapped for a buyer), then
-    `signed_trade`. Returns the new v_lo, v_hi and E, and the trade."""
-    p = state.profile
-    v_lo, v_hi = market.update_duals(state.v_lo, state.v_hi, state.E,
-                                     abs(p.E_n_tot), zeta)
-    price, preference = (gamma, p.psi) if p.role == market.SELLER else (
-        p.psi, gamma)
-    E = market.update_energy(state.E, price, zeta, preference, p.chi,
-                             v_lo, v_hi)
-    return v_lo, v_hi, E, market.signed_trade(
-        market.AgentState(p, v_lo, v_hi, E))
-
-
-def _step_cases():
-    """(magnitude, v_lo, v_hi, E, psi, chi, gamma, zeta) inputs: criterion
-    9's ranges, then edges where a projection meets -0.0 or clips to
-    exactly 0, and large steps."""
+def _step_rounds():
+    """(gamma, zeta, agents) rounds, each agent a (magnitude, v_lo, v_hi,
+    E, psi, chi): 1000 rounds of 100 agents in criterion 9's ranges, then
+    edges where a projection meets -0.0 or clips to exactly 0, and large
+    steps."""
     rng = random.Random(29)
-    for _ in range(100_000):
-        yield (rng.uniform(0, 20), rng.uniform(0, 5), rng.uniform(0, 20),
-               rng.uniform(-30, 30), rng.uniform(0, 50),
-               rng.uniform(0.05, 0.2), rng.uniform(0, 50),
-               rng.uniform(0.001, 0.2))
+    for _ in range(1000):
+        gamma, zeta = rng.uniform(0, 50), rng.uniform(0.001, 0.2)
+        yield gamma, zeta, [
+            (rng.uniform(0, 20), rng.uniform(0, 5), rng.uniform(0, 20),
+             rng.uniform(-30, 30), rng.uniform(0, 50), rng.uniform(0.05, 0.2))
+            for _ in range(100)]
     z = -0.0
-    for E in (z, 0.0):
-        for v_lo in (z, 0.0):
-            for v_hi in (z, 0.0):
-                for magnitude in (z, 0.0, 2.0):
-                    yield (magnitude, v_lo, v_hi, E, 30.0, 0.1, 10.0, 0.01)
-    yield (5.0, 1.0, 3.0, 2.0, 30.0, 0.1, 10.0, 0.5)      # v_lo: 1 - 1
-    yield (2.0, 3.0, 1.0, 0.0, 30.0, 0.1, 10.0, 0.5)      # v_hi: 1 - 1
-    yield (2.0, 0.0, 0.0, 1.0, 10.0, 1.0, 11.0, 0.5)      # E: 1 - 1
+    yield 10.0, 0.01, [(magnitude, v_lo, v_hi, E, 30.0, 0.1)
+                       for E in (z, 0.0) for v_lo in (z, 0.0)
+                       for v_hi in (z, 0.0) for magnitude in (z, 0.0, 2.0)]
+    yield 10.0, 0.5, [(5.0, 1.0, 3.0, 2.0, 30.0, 0.1),     # v_lo: 1 - 1
+                      (2.0, 3.0, 1.0, 0.0, 30.0, 0.1)]     # v_hi: 1 - 1
+    yield 11.0, 0.5, [(2.0, 0.0, 0.0, 1.0, 10.0, 1.0)]     # E: 1 - 1
     # The energy step's product underflows to -0.0 onto E = -0.0.
-    yield (0.0, 0.0, 0.0, z, 0.0, 1.0, 5e-324, 0.01)
-    yield (0.0, 0.0, 0.0, z, 5e-324, 1.0, 0.0, 0.01)
+    yield 5e-324, 0.01, [(0.0, 0.0, 0.0, z, 0.0, 1.0)]
+    yield 0.0, 0.01, [(0.0, 0.0, 0.0, z, 5e-324, 1.0)]
     for zeta in (1.0, 7.5, 1e6):
-        yield (12.0, 4.0, 15.0, 8.0, 31.0, 0.09, 26.0, zeta)
+        yield 26.0, zeta, [(12.0, 4.0, 15.0, 8.0, 31.0, 0.09)]
 
 
 def test_agent_step_is_bit_equal_to_the_reference_formulas():
-    for magnitude, v_lo, v_hi, E, psi, chi, gamma, zeta in _step_cases():
-        for role, forecast in ((market.SELLER, magnitude),
-                               (market.BUYER, -magnitude)):
-            profile = market.TAProfile(0, role, forecast, v_lo, v_hi, psi,
-                                       chi)
-            state = market.AgentState(profile, v_lo, v_hi, E)
-            expected = _reference_step(state, gamma, zeta)
-            trade = market.agent_step(state, gamma, zeta)
-            got = (state.v_lo, state.v_hi, state.E, trade)
-            assert [x.hex() for x in got] == [x.hex() for x in expected], (
-                role, magnitude, v_lo, v_hi, E, psi, chi, gamma, zeta)
+    for gamma, zeta, agents in _step_rounds():
+        # Each agent once as a seller and once as a buyer, interleaved.
+        states = [market.AgentState(
+            market.TAProfile(0, role, forecast, v_lo, v_hi, psi, chi),
+            v_lo, v_hi, E)
+            for magnitude, v_lo, v_hi, E, psi, chi in agents
+            for role, forecast in ((market.SELLER, magnitude),
+                                   (market.BUYER, -magnitude))]
+        expected = [reference_slot.agent_update(st.profile, st.v_lo, st.v_hi,
+                                                st.E, gamma, zeta)
+                    for st in states]
+        trades = market.agent_step(market.agent_rows(states), gamma, zeta)
+        got = [(st.v_lo, st.v_hi, st.E, trade)
+               for st, trade in zip(states, trades)]
+        assert len(trades) == len(states)
+        for g, e, st in zip(got, expected, states):
+            assert [x.hex() for x in g] == [x.hex() for x in e], (
+                st.profile, gamma, zeta)
 
 
 def _fixed_point_profiles(gamma_init):
@@ -313,3 +308,67 @@ def test_clearing_rounds_quantized_totals(seed, worst_case):
     k, gamma, _, status = rounds[-1]
     assert (gamma, k, status) == (reference.gamma, reference.iterations,
                                   reference.status)
+
+
+def test_clearing_rounds_calls_agent_step_through_the_module_once_per_round(
+        monkeypatch):
+    step, calls = market.agent_step, []
+
+    def counted(agents, gamma, zeta):
+        calls.append(len(agents))
+        return step(agents, gamma, zeta)
+
+    monkeypatch.setattr(market, "agent_step", counted)
+    profiles = market.sample_profiles(10, market.random_source(0, "profiles"))
+    result = market.central_clearing(profiles, market.MarketConfig(
+        varsigma=30), worst_case=True)
+    assert result.iterations == 30
+    assert calls == [10] * 30
+
+
+def _bits(values):
+    # Bit-exact, so -0.0 differs from 0.0 and NaN equals itself.
+    return array.array("d", values).tobytes()
+
+
+def _state_bits(states):
+    return _bits(x for st in states for x in (st.v_lo, st.v_hi, st.E))
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+@pytest.mark.parametrize("n", [2, 4, 30, 100, 400])
+def test_clearing_rounds_match_the_reference_clearing(n, quantized):
+    # Every round's (k, gamma, total, status) and every agent's state at
+    # each yield, bit for bit, against `reference_slot.clearing`. At
+    # zeta = 0.2 the larger communities oscillate with growing totals, so
+    # the ring sum wraps; both sides get the same wrapped total.
+    codec = sharing.FixedPointCodec(sharing.NEGOTIATION_MODULUS, 10_000)
+
+    def ring_sum(trades):
+        return codec.decode(sum(codec.encode(t) for t in trades)
+                            % codec.modulus)
+
+    def float_sum(trades):
+        return functools.reduce(operator.add, trades, 0.0)
+
+    total_of = ring_sum if quantized else float_sum
+    profiles = market.sample_profiles(n, market.random_source(n, "profiles"))
+    for worst_case, varsigma, zeta in itertools.product(
+            (False, True), (1, 30, 100), (0.001, 0.01, 0.2)):
+        config = market.MarketConfig(zeta=zeta, varsigma=varsigma)
+        states = [market.AgentState.initial(p) for p in profiles]
+        rounds = itertools.zip_longest(
+            market.clearing_rounds(states, config, total_of, worst_case),
+            reference_slot.clearing(profiles, config, total_of, worst_case))
+        for got, (k, gamma, total, status, expected) in rounds:
+            where = (worst_case, varsigma, zeta, k)
+            assert got[0] == k and got[3] == status, where
+            assert _bits(got[1:3]) == _bits((gamma, total)), where
+            assert _state_bits(states) == _bits(
+                x for st in expected for x in st), where
+        result = market.central_clearing(
+            profiles, config, codec if quantized else None, worst_case)
+        assert (result.iterations, result.status) == (k, status)
+        assert _bits([result.gamma]) == _bits([gamma])
+        assert _bits(result.energies) == _bits(
+            market.signed_trade(st) for st in states)

@@ -228,6 +228,34 @@ def test_randomness_perturbation_is_exact_in_any_field(modulus, honest, lo,
     assert tas[0].reveal_r & 0xFFFF
 
 
+def test_randomness_perturbation_rounds_as_exact_rationals():
+    # The integer rounding of r_n * factor equals rounding half up in
+    # Fractions, byte for byte, on seeded r_n and factors at every width
+    # up to bits_p = 256. Every fourth case is an exact tie, r_n odd at
+    # factor 1.5.
+    rng = random.Random(33)
+    for bits_p in (8, 20, 32, 64, 256):
+        modulus = rng.getrandbits(bits_p) | (1 << (bits_p - 1)) | 1
+        codec = sharing.FixedPointCodec(modulus, 10_000)
+        for case in range(200):
+            if case % 4 == 0:
+                honest, lo, hi = rng.randrange(modulus // 2) * 2 + 1, 0.5, 0.5
+            else:
+                honest, lo = rng.randrange(modulus), rng.uniform(0, 0.5)
+                hi = lo + rng.uniform(0, 0.5)
+            seed = rng.getrandbits(32)
+            tas = _make_tas([5.0])
+            tas[0].r_n = honest
+            protocol.apply_adversary(
+                (protocol.AdversaryScenario((0,), protocol.RANDOMNESS_FIELD,
+                                            lo, hi),),
+                tas, codec, random.Random(seed))
+            factor = 1.0 + random.Random(seed).uniform(lo, hi)
+            assert tas[0].reveal_r == (math.floor(
+                honest * Fraction(factor) + Fraction(1, 2)) % modulus), (
+                bits_p, honest, factor)
+
+
 def test_lifecycle_errors(full_key):
     codec = _slot_codec(full_key)
     transcript = Transcript()

@@ -238,7 +238,8 @@ def test_ring_round_decodes_signed_aggregate():
 def _negotiation_rounds(tas, secure, varsigma=1, signed_trade=None):
     """Run a worst-case negotiation of `tas` over the ring at scale 10^4
     and return each round's (trades, decoded total); `signed_trade`, if
-    given, replaces each agent's step by its trade of the agent state."""
+    given, replaces each round's step by every agent's trade of its
+    state."""
     seen = []
     clearing_rounds = market.clearing_rounds
 
@@ -253,7 +254,8 @@ def _negotiation_rounds(tas, secure, varsigma=1, signed_trade=None):
         mp.setattr(market, "clearing_rounds", recorded)
         if signed_trade is not None:
             mp.setattr(market, "agent_step",
-                       lambda st, gamma, zeta: signed_trade(st))
+                       lambda agents, gamma, zeta: [signed_trade(st)
+                                                    for st, *_ in agents])
         protocol.run_negotiation(
             tas, market.MarketConfig(varsigma=varsigma),
             sharing.FixedPointCodec(RING, 10_000), Transcript(),
