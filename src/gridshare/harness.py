@@ -165,16 +165,17 @@ def measure_sizes(transcript, n_tas):
               (transcript.storage_bits, "storage", storage))
     ta0, *others = map(ta_id, range(n_tas))
     for phase in PHASES:
-        for counters, what, table in tables:
-            expected = counters.get((ta0, phase), 0)
+        for tables_by_phase, what, table in tables:
+            counters = tables_by_phase[phase]
+            expected = counters.get(ta0, 0)
             for ta in others:
-                got = counters.get((ta, phase), 0)
+                got = counters.get(ta, 0)
                 if got != expected:
                     raise AsymmetricTranscriptError(
                         f"{ta} {phase} {what} is {got} bits, "
                         f"{ta0} has {expected}")
             table[phase] = {"TA": expected / 8 / 1024,
-                            "TO": counters.get((TO_ID, phase), 0) / 8 / 1024}
+                            "TO": counters.get(TO_ID, 0) / 8 / 1024}
     return traffic, storage
 
 

@@ -230,7 +230,7 @@ def central_clearing(profiles, config, quantize=None, worst_case=False):
     """
     states = [AgentState.initial(p) for p in profiles]
     aggregate = _float_sum if quantize is None else (
-        lambda trades: quantize.decode(sum(map(quantize.encode, trades))))
+        lambda trades: quantize.decode(sum(quantize.encode_all(trades))))
     *_, (k, gamma, _, status) = clearing_rounds(states, config, aggregate,
                                                 worst_case)
     return ClearingResult(gamma=gamma, iterations=k, status=status,

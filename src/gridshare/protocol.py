@@ -136,8 +136,7 @@ def run_negotiation(tas, config, codec, transcript, secure=True,
 
     def aggregate(trades):
         total = codec.decode(to_operator(
-            tas, [codec.encode(t) for t in trades], codec.modulus,
-            transcript, phase))
+            tas, codec.encode_all(trades), codec.modulus, transcript, phase))
         # Rounding moves the total by at most N/(2*scale) kWh, a wrap past
         # the modulus by modulus/scale.
         if abs(total - sum(trades)) > codec.max_magnitude:
@@ -228,11 +227,13 @@ def _encode_projected(slot_codec, kwh, bound):
     return slot_codec.encode(max(-bound, min(bound, kwh)))
 
 
-def _encode_actual(slot_codec, kwh):
-    """Encode a meter reading or a perturbed reveal projected onto the
-    field's range: a value beyond it is flagged at the bound instead of
-    aborting the slot."""
-    return _encode_projected(slot_codec, kwh, slot_codec.max_magnitude)
+def _encode_actuals(slot_codec, kwhs):
+    """Encode meter readings or perturbed reveals, each projected onto the
+    field's range, in one pass: a value beyond it is flagged at the bound
+    instead of aborting the slot."""
+    bound = slot_codec.max_magnitude
+    return slot_codec.encode_all([max(-bound, min(bound, kwh))
+                                  for kwh in kwhs])
 
 
 def _deviates(slot_codec, forecast_enc, actual_enc, sigma_policy):
@@ -250,7 +251,7 @@ def run_online(tas, ck, commitments, E_total, slot_codec, transcript, beta,
     `sigma_policy` maps a forecast in kWh to an agent's threshold."""
     phase = "online"
     p = slot_codec.modulus
-    actuals_enc = [_encode_actual(slot_codec, ta.e_actual) for ta in tas]
+    actuals_enc = _encode_actuals(slot_codec, [ta.e_actual for ta in tas])
     e_total = _share_round(tas, actuals_enc, p, transcript, phase)
     for ta in tas:
         transcript.store(ta.id, phase, SCALAR_BITS)   # metered actual
@@ -279,7 +280,7 @@ def run_online_plain(tas, slot_codec, transcript, sigma_policy):
     """Baseline online phase: actuals travel in the clear; deviation is
     checked per agent with no commitment verification."""
     phase = "online"
-    actuals_enc = [_encode_actual(slot_codec, ta.e_actual) for ta in tas]
+    actuals_enc = _encode_actuals(slot_codec, [ta.e_actual for ta in tas])
     e_total = _plain_round(tas, actuals_enc, slot_codec.modulus, transcript,
                            phase)
     report = DetectionReport(e_total=slot_codec.decode(e_total))
@@ -321,13 +322,14 @@ def apply_adversary(scenarios, tas, slot_codec, rng):
             ta = by_index[idx]
             factor = 1.0 + rng.uniform(sc.perturb_lo, sc.perturb_hi)
             if sc.target_field == E_FIELD:
-                honest = _encode_actual(slot_codec, ta.e_actual)
+                honest, perturbed = _encode_actuals(
+                    slot_codec, (ta.e_actual, ta.e_actual * factor))
                 ta.e_actual *= factor
-                perturbed = _encode_actual(slot_codec, ta.e_actual)
             elif sc.target_field == FORECAST_FIELD:
                 honest = ta.E_n
-                perturbed = ta.reveal_E = _encode_actual(
-                    slot_codec, slot_codec.decode(honest) * factor)
+                perturbed, = _encode_actuals(
+                    slot_codec, (slot_codec.decode(honest) * factor,))
+                ta.reveal_E = perturbed
             else:
                 # Round half up in exact integers: a float product
                 # overflows or drops low bits once p is wide.

@@ -16,6 +16,8 @@ sum of shares. A round only draws: `draw_shares` makes every agent's
 accepted draw and builds no share. The operator's total is the plain
 round's sum (`protocol._share_round`); the draws still fix every later
 draw from the same generators.
+
+A round encodes its N values in one `FixedPointCodec.encode_all` pass.
 """
 
 from __future__ import annotations
@@ -62,24 +64,33 @@ class FixedPointCodec:
         return (self.modulus - 1) // (2 * self.scale)
 
     def encode(self, x):
-        """round(x*scale) mod p, rounding half away from zero.
+        """`encode_all` of the one value x."""
+        return self.encode_all((x,))[0]
 
-        Raises EncodingRangeError for a value beyond max_magnitude and for
-        a non-finite one. Over NEGOTIATION_MODULUS at scale 10^4 that
-        bound is 214 748 kWh, far above any one agent's trade.
+    def encode_all(self, xs):
+        """round(x*scale) mod p for each x in xs, rounding half away from
+        zero: the codec's one rounding rule, one pass per round.
+
+        Raises EncodingRangeError at the first value beyond max_magnitude
+        or not finite. Over NEGOTIATION_MODULUS at scale 10^4 that bound
+        is 214 748 kWh, far above any one agent's trade.
         """
-        scaled = x * self.scale
+        scale, modulus = self.scale, self.modulus
+        half = (modulus + 1) // 2           # 2*m >= modulus iff m >= half
+        out = []
+        append = out.append
         try:
-            m = int(abs(scaled) + 0.5)
+            for x in xs:
+                scaled = x * scale
+                m = int(abs(scaled) + 0.5)
+                if m >= half:
+                    raise EncodingRangeError(
+                        f"|{x}| * {scale} exceeds the centered range of "
+                        f"modulus {modulus}")
+                append(m if scaled >= 0 else -m % modulus)
         except (ValueError, OverflowError):     # NaN, +-inf
             raise EncodingRangeError(f"cannot encode {x!r}") from None
-        if 2 * m >= self.modulus:
-            raise EncodingRangeError(
-                f"|{x}| * {self.scale} exceeds the centered range of "
-                f"modulus {self.modulus}")
-        if scaled < 0:
-            m = -m
-        return m % self.modulus
+        return out
 
     def decode(self, v):
         """Inverse of encode for values whose centered magnitude < p/2."""

@@ -3,10 +3,12 @@ formulas one agent at a time, for differential tests of the fast path.
 
 It calls only `market`'s reference formulas and shares no loop code with
 `market.clearing_rounds` or `market.agent_step`. So far it covers the
-clearing loop; shares, commitments and detection are still to come.
+clearing loop and the codec's rounding rule; shares, commitments and
+detection are still to come.
 """
 
 from gridshare import market
+from gridshare.errors import EncodingRangeError
 
 
 def agent_update(profile, v_lo, v_hi, E, gamma, zeta):
@@ -43,3 +45,21 @@ def clearing(profiles, config, total_of, worst_case=False):
                                           worst_case)
         gamma = gamma_new
         yield k, gamma, total, status, states
+
+
+def encode(x, scale, modulus):
+    """One value's fixed-point encoding, round(x*scale) mod `modulus` with
+    half away from zero, by the per-value formula that
+    `FixedPointCodec.encode_all` replaced."""
+    scaled = x * scale
+    try:
+        m = int(abs(scaled) + 0.5)
+    except (ValueError, OverflowError):     # NaN, +-inf
+        raise EncodingRangeError(f"cannot encode {x!r}") from None
+    if 2 * m >= modulus:
+        raise EncodingRangeError(
+            f"|{x}| * {scale} exceeds the centered range of "
+            f"modulus {modulus}")
+    if scaled < 0:
+        m = -m
+    return m % modulus

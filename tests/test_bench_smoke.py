@@ -17,7 +17,9 @@ calls, so a change that seeds generators a plain slot never draws from,
 drops one a secure slot needs or reseeds agents for each detection run,
 fails here rather than only costing time or memory. Every run's first
 digest, that of op 0 run untraced, is pinned, so a change that moves any
-workload output fails here."""
+workload output fails here. A round encodes its values in one
+`FixedPointCodec.encode_all` pass, which `perfbench/tracing.py` does not
+wrap, so `sharing.codec.*` counts single encodes and decodes only."""
 
 import json
 import os
@@ -53,9 +55,10 @@ def _run_perfbench(workload, trace):
 # Per-op counters of a traced N=400 worst-case plain slot at seed 1:
 # 100 rounds, each with one agent_step call over all 400 agents and one
 # price signal. Only the profiles and the adversary get a generator;
-# plain agents draw nothing.
+# plain agents draw nothing. The single codec calls are the 400 stored
+# forecasts' encodes and 1301 decodes.
 PLAIN_OP_COUNTS = {"market.agent_step.calls": 100, "market.rounds": 100,
-                   "sharing.codec.calls": 42101,
+                   "sharing.codec.calls": 1701,
                    "transport.send.calls": 40901,
                    "market.random_source.calls": 2}
 
@@ -66,7 +69,7 @@ PLAIN_OP_COUNTS = {"market.agent_step.calls": 100, "market.rounds": 100,
 # reused.
 SLOT_OP_COUNTS = {"protocol.share_round.calls": 103,
                   "market.agent_step.calls": 100,
-                  "sharing.codec.calls": 42502,
+                  "sharing.codec.calls": 2102,
                   "transport.send.calls": 83304,
                   "market.random_source.calls": 402}
 

@@ -239,6 +239,20 @@ def test_measure_sizes_rejects_asymmetric_agents():
         harness.measure_sizes(transcript, 2)
 
 
+def test_transcript_rejects_unknown_phase():
+    transcript = Transcript()
+    with pytest.raises(KeyError, match="'negotiaton'"):
+        transcript.send("negotiaton", "AggregateSubmit", "TA0", "TO", 32)
+    with pytest.raises(KeyError, match="'onlin'"):
+        transcript.store("TA0", "onlin", 32)
+    with pytest.raises(KeyError, match="'keygen2'"):
+        transcript.broadcast("keygen2", "KeyBroadcast", "TO", 32)
+    assert all(not table for tables in (transcript.traffic_bits,
+                                        transcript.storage_bits)
+               for table in tables.values())
+    assert set(transcript.traffic_bits) == set(PHASES)
+
+
 def test_key_reuse_skips_generation():
     first = harness.run_scenario(_config())
     second = harness.run_scenario(_config(), ck=first.ck)

@@ -79,7 +79,7 @@ def test_corrupted_commitment_rejected(full_key):
     assert protocol.run_commitment_check(full_key, corrupted, e_tot, r_tot,
                                          transcript) == "reject"
     # The operator stores nothing on a reject.
-    assert transcript.storage_bits[(TO_ID, "commitment_check")] == 0
+    assert transcript.storage_bits["commitment_check"][TO_ID] == 0
 
 
 def test_actual_deviation_lands_in_t_m(full_key):

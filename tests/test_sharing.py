@@ -12,6 +12,7 @@ from gridshare.errors import (
     InvalidPartyCountError,
 )
 from gridshare.transport import Transcript
+from tests import reference_slot
 from tests.conftest import SequenceRng
 
 RING = sharing.NEGOTIATION_MODULUS
@@ -66,6 +67,55 @@ def test_encode_rejects_non_finite():
     for x in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(EncodingRangeError):
             codec.encode(x)
+
+
+# (modulus, scale) pairs for the rounding oracle: a tiny field, the
+# default ~20-bit group order p and the negotiation ring.
+ORACLE_CODECS = [(101, 1), (886387, 10_000), (RING, 10_000), (RING, 1)]
+
+
+def _oracle_values(codec, rng):
+    """Seeded values across the codec's range and the rounding edge cases:
+    signed zeros, ties k + 1/2 after scaling, the float just below 1/2
+    (which `+ 0.5` rounds up to 1.0), subnormals and +-max_magnitude."""
+    scale, bound = codec.scale, codec.max_magnitude
+    values = [rng.uniform(-bound, bound) for _ in range(2000)]
+    values += [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+               -2.225073858507201e-308, bound, -bound, float(bound),
+               -float(bound)]
+    edges = [k + 0.5 for k in range(-20, 20)] + [0.49999999999999994,
+                                                  -0.49999999999999994]
+    exact = [e / scale for e in edges if (e / scale) * scale == e]
+    assert len(exact) >= 10
+    return values + exact
+
+
+@pytest.mark.parametrize("modulus,scale", ORACLE_CODECS)
+def test_encode_all_matches_the_per_value_reference(modulus, scale):
+    codec = sharing.FixedPointCodec(modulus, scale)
+    values = _oracle_values(codec, random.Random(f"oracle/{modulus}"))
+    got = codec.encode_all(values)
+    assert got == [reference_slot.encode(x, scale, modulus) for x in values]
+    assert got == [codec.encode(x) for x in values]
+    assert codec.encode_all([]) == []
+    if scale == 1:
+        assert codec.encode(0.49999999999999994) == 1
+
+
+@pytest.mark.parametrize("modulus,scale", ORACLE_CODECS)
+def test_encode_all_raises_at_the_first_bad_value(modulus, scale):
+    codec = sharing.FixedPointCodec(modulus, scale)
+    beyond = (modulus // 2 + 1) / scale
+    for bad in (float("nan"), float("inf"), float("-inf"), beyond, -beyond):
+        with pytest.raises(EncodingRangeError) as expected:
+            reference_slot.encode(bad, scale, modulus)
+        for xs in ([bad], [1.0, -2.0, bad], [0.0, bad, float("nan"), beyond]):
+            with pytest.raises(EncodingRangeError) as raised:
+                codec.encode_all(xs)
+            assert str(raised.value) == str(expected.value)
+        with pytest.raises(EncodingRangeError) as raised:
+            codec.encode(bad)
+        assert str(raised.value) == str(expected.value)
 
 
 def test_split_forced_randomness():
