@@ -158,7 +158,9 @@ def measure_sizes(transcript, n_tas):
 
     The TA column is per single agent; the protocol is symmetric, so
     every agent's counters agree and TA0 is representative. That is
-    checked: counters that differ raise AsymmetricTranscriptError.
+    checked per agent, each group total split evenly over its members:
+    counters that differ, or a total that does not split evenly, raise
+    AsymmetricTranscriptError.
     """
     traffic, storage = {}, {}
     tables = ((transcript.traffic_bits, "traffic", traffic),
@@ -166,7 +168,7 @@ def measure_sizes(transcript, n_tas):
     ta0, *others = map(ta_id, range(n_tas))
     for phase in PHASES:
         for tables_by_phase, what, table in tables:
-            counters = tables_by_phase[phase]
+            counters = _per_member(tables_by_phase[phase], phase, what)
             expected = counters.get(ta0, 0)
             for ta in others:
                 got = counters.get(ta, 0)
@@ -177,6 +179,21 @@ def measure_sizes(transcript, n_tas):
             table[phase] = {"TA": expected / 8 / 1024,
                             "TO": counters.get(TO_ID, 0) / 8 / 1024}
     return traffic, storage
+
+
+def _per_member(counters, phase, what):
+    """`counters` with each tuple entity's total split evenly over its ids."""
+    split = {}
+    for entity, bits in counters.items():
+        members = entity if type(entity) is tuple else (entity,)
+        each, rest = divmod(bits, len(members))
+        if rest:
+            raise AsymmetricTranscriptError(
+                f"a group of {len(members)} has {phase} {what} of {bits} "
+                "bits, which does not split evenly over its members")
+        for member in members:
+            split[member] = split.get(member, 0) + each
+    return split
 
 
 def build_agents(config):

@@ -6,6 +6,7 @@ bit-exact size accounting. A plain variant skips sharing and
 commitments to form the no-security baseline. Every per-agent value
 reaches the operator through one plain round, in which each agent
 submits one scalar; a secure round is that plain round plus sharing.
+Each phase builds its agents' id tuple once for `Transcript.send_each`.
 """
 
 from __future__ import annotations
@@ -94,29 +95,28 @@ class TAgent:
         self.refuse_reveal = False
 
 
-def _plain_round(tas, values, modulus, transcript, phase):
-    """One value per agent to the operator: every agent submits its value
-    as one scalar, and the operator's total is their sum mod `modulus`."""
-    for ta in tas:
-        transcript.send(phase, AGGREGATE_SUBMIT, ta.id, TO_ID, SCALAR_BITS)
+def _plain_round(senders, values, modulus, transcript, phase):
+    """One value per agent to the operator: each agent of the id tuple
+    `senders` submits its value as one scalar, and the operator's total
+    is their sum mod `modulus`."""
+    transcript.send_each(phase, AGGREGATE_SUBMIT, senders, TO_ID, SCALAR_BITS)
     return sum(values) % modulus
 
 
-def _share_round(tas, values, modulus, transcript, phase):
+def _share_round(tas, senders, values, modulus, transcript, phase):
     """The plain round plus sharing: every agent first splits its value
     into N shares and sends N-1 of them to its peers, then submits in the
     plain round the sum of the N shares it received (own kept share
-    included). `sharing.draw_shares` makes the draws, over the negotiation
-    ring and over p alike. Returns the plain round's sum, which is the
-    operator's total: each agent's completing share closes its row, so
-    the per-peer aggregates always sum to it, whatever was drawn.
+    included); `senders` holds their ids. `sharing.draw_shares` makes the
+    draws, over the negotiation ring and over p alike. Returns the plain
+    round's sum, which is the operator's total: each agent's completing
+    share closes its row, so the per-peer aggregates always sum to it,
+    whatever was drawn.
     """
-    n = len(tas)
     sharing.draw_shares([ta.rng for ta in tas], modulus)
-    for ta in tas:
-        transcript.send(phase, SHARE_TRANSFER, ta.id, "PEERS",
-                        SCALAR_BITS * (n - 1))
-    return _plain_round(tas, values, modulus, transcript, phase)
+    transcript.send_each(phase, SHARE_TRANSFER, senders, "PEERS",
+                         SCALAR_BITS * (len(tas) - 1))
+    return _plain_round(senders, values, modulus, transcript, phase)
 
 
 def run_negotiation(tas, config, codec, transcript, secure=True,
@@ -132,11 +132,14 @@ def run_negotiation(tas, config, codec, transcript, secure=True,
     round's price, and an accept notice once the loop stops.
     """
     phase = "negotiation"
-    to_operator = _share_round if secure else _plain_round
+    senders = tuple(ta.id for ta in tas)
 
     def aggregate(trades):
-        total = codec.decode(to_operator(
-            tas, codec.encode_all(trades), codec.modulus, transcript, phase))
+        values = codec.encode_all(trades)
+        total = codec.decode(
+            _share_round(tas, senders, values, codec.modulus, transcript,
+                         phase) if secure else
+            _plain_round(senders, values, codec.modulus, transcript, phase))
         # Rounding moves the total by at most N/(2*scale) kWh, a wrap past
         # the modulus by modulus/scale.
         if abs(total - sum(trades)) > codec.max_magnitude:
@@ -164,7 +167,8 @@ def store_forecasts(tas, slot_codec, transcript):
     for ta in tas:
         ta.E_n = _encode_projected(slot_codec, market.signed_trade(ta.state),
                                    abs(ta.profile.E_n_tot))
-        transcript.store(ta.id, "negotiation", SCALAR_BITS)
+    transcript.store_each(tuple(ta.id for ta in tas), "negotiation",
+                          SCALAR_BITS)
 
 
 def run_keygen(bits_p, bits_b, rng, transcript, mode="fast",
@@ -190,19 +194,19 @@ def run_commitment(tas, ck, transcript):
     """Each agent commits to its forecast and shares (E_n, r_n); the
     aggregated openings and the commitment go to the operator."""
     phase = "commitment"
+    senders = tuple(ta.id for ta in tas)
     commitments = []
     for ta in tas:
         if ta.E_n is None:
             raise LifecycleError(f"{ta.id} has no stored forecast")
         ta.r_n = ta.rng.randrange(ck.p)
         commitments.append(pedersen.commit(ck, ta.E_n, ta.r_n))
-    e_total = _share_round(tas, [ta.E_n for ta in tas], ck.p, transcript,
-                           phase)
-    r_total = _share_round(tas, [ta.r_n for ta in tas], ck.p, transcript,
-                           phase)
-    for ta in tas:
-        transcript.send(phase, COMMITMENT_SUBMIT, ta.id, TO_ID, ck.bits_q)
-        transcript.store(ta.id, phase, SCALAR_BITS)   # r_n kept for reveal
+    e_total = _share_round(tas, senders, [ta.E_n for ta in tas], ck.p,
+                           transcript, phase)
+    r_total = _share_round(tas, senders, [ta.r_n for ta in tas], ck.p,
+                           transcript, phase)
+    transcript.send_each(phase, COMMITMENT_SUBMIT, senders, TO_ID, ck.bits_q)
+    transcript.store_each(senders, phase, SCALAR_BITS)   # r_n for the reveal
     # Aggregate submissions already counted inside the share rounds; the
     # operator now holds the combined openings and every commitment.
     return commitments, e_total, r_total
@@ -251,10 +255,10 @@ def run_online(tas, ck, commitments, E_total, slot_codec, transcript, beta,
     `sigma_policy` maps a forecast in kWh to an agent's threshold."""
     phase = "online"
     p = slot_codec.modulus
+    senders = tuple(ta.id for ta in tas)
     actuals_enc = _encode_actuals(slot_codec, [ta.e_actual for ta in tas])
-    e_total = _share_round(tas, actuals_enc, p, transcript, phase)
-    for ta in tas:
-        transcript.store(ta.id, phase, SCALAR_BITS)   # metered actual
+    e_total = _share_round(tas, senders, actuals_enc, p, transcript, phase)
+    transcript.store_each(senders, phase, SCALAR_BITS)   # metered actual
     report = DetectionReport(e_total=slot_codec.decode(e_total))
     deviation = abs(slot_codec.decode((E_total - e_total) % p))
     if deviation <= beta and not force_reveal:
@@ -280,12 +284,13 @@ def run_online_plain(tas, slot_codec, transcript, sigma_policy):
     """Baseline online phase: actuals travel in the clear; deviation is
     checked per agent with no commitment verification."""
     phase = "online"
+    senders = tuple(ta.id for ta in tas)
     actuals_enc = _encode_actuals(slot_codec, [ta.e_actual for ta in tas])
-    e_total = _plain_round(tas, actuals_enc, slot_codec.modulus, transcript,
-                           phase)
+    e_total = _plain_round(senders, actuals_enc, slot_codec.modulus,
+                           transcript, phase)
+    transcript.store_each(senders, phase, SCALAR_BITS)
     report = DetectionReport(e_total=slot_codec.decode(e_total))
     for ta, e_enc in zip(tas, actuals_enc):
-        transcript.store(ta.id, phase, SCALAR_BITS)
         if _deviates(slot_codec, ta.E_n, e_enc, sigma_policy):
             report.t_m_list.add(ta.profile.index)
     return report
@@ -298,8 +303,8 @@ def run_commitment_plain(tas, slot_codec, transcript):
     for ta in tas:
         if ta.E_n is None:
             raise LifecycleError(f"{ta.id} has no stored forecast")
-    _plain_round(tas, [ta.E_n for ta in tas], slot_codec.modulus,
-                 transcript, phase)
+    _plain_round(tuple(ta.id for ta in tas), [ta.E_n for ta in tas],
+                 slot_codec.modulus, transcript, phase)
     transcript.store(TO_ID, phase, len(tas) * SCALAR_BITS)
 
 

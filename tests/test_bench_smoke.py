@@ -19,7 +19,12 @@ fails here rather than only costing time or memory. Every run's first
 digest, that of op 0 run untraced, is pinned, so a change that moves any
 workload output fails here. A round encodes its values in one
 `FixedPointCodec.encode_all` pass, which `perfbench/tracing.py` does not
-wrap, so `sharing.codec.*` counts single encodes and decodes only."""
+wrap, so `sharing.codec.*` counts single encodes and decodes only.
+`transport.send.calls` counts one call per round, not one per message:
+a message every agent sends in a round is one `Transcript.send_each`,
+which is one `send` of the group's total. A reveal stays one send per
+agent, and the `slot` pin on `protocol.reveals` holds that count, which
+`protocol.reveal_yield` divides by."""
 
 import json
 import os
@@ -53,24 +58,26 @@ def _run_perfbench(workload, trace):
 
 
 # Per-op counters of a traced N=400 worst-case plain slot at seed 1:
-# 100 rounds, each with one agent_step call over all 400 agents and one
-# price signal. Only the profiles and the adversary get a generator;
-# plain agents draw nothing. The single codec calls are the 400 stored
-# forecasts' encodes and 1301 decodes.
+# 100 rounds, each with one agent_step call over all 400 agents, one
+# grouped aggregate send and one price signal, then the accept notice and
+# the grouped forecast and actual sends. Only the profiles and the
+# adversary get a generator; plain agents draw nothing. The single codec
+# calls are the 400 stored forecasts' encodes and 1301 decodes.
 PLAIN_OP_COUNTS = {"market.agent_step.calls": 100, "market.rounds": 100,
                    "sharing.codec.calls": 1701,
-                   "transport.send.calls": 40901,
+                   "transport.send.calls": 203,
                    "market.random_source.calls": 2}
 
 
 # Per-op counters of a traced N=400 worst-case secure slot at seed 1:
-# 100 negotiation share rounds, two commitment rounds and one online.
-# Generators: the profiles, one per agent and the adversary; the key is
-# reused.
+# 100 negotiation share rounds, two commitment rounds and one online,
+# each two grouped sends, and 400 reveals, one send each. Generators: the
+# profiles, one per agent and the adversary; the key is reused.
 SLOT_OP_COUNTS = {"protocol.share_round.calls": 103,
                   "market.agent_step.calls": 100,
                   "sharing.codec.calls": 2102,
-                  "transport.send.calls": 83304,
+                  "transport.send.calls": 711,
+                  "protocol.reveals": 400,
                   "market.random_source.calls": 402}
 
 

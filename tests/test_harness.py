@@ -239,6 +239,51 @@ def test_measure_sizes_rejects_asymmetric_agents():
         harness.measure_sizes(transcript, 2)
 
 
+@pytest.mark.parametrize("n", [2, 3, 400])
+def test_grouped_sends_and_stores_count_as_one_per_agent(n):
+    # One send_each or store_each over all n agents measures the same as
+    # n single calls, and each agent's own counter is still checked.
+    ids = tuple(f"TA{i}" for i in range(n))
+    single, grouped = Transcript(), Transcript()
+    for ta in ids:
+        single.send("negotiation", "ShareTransfer", ta, "PEERS", 32 * (n - 1))
+        single.send("commitment", "CommitmentSubmit", ta, "TO", 1020)
+        single.store(ta, "online", 32)
+    grouped.send_each("negotiation", "ShareTransfer", ids, "PEERS",
+                      32 * (n - 1))
+    grouped.send_each("commitment", "CommitmentSubmit", ids, "TO", 1020)
+    grouped.store_each(ids, "online", 32)
+    assert (harness.measure_sizes(grouped, n)
+            == harness.measure_sizes(single, n))
+    assert harness.measure_sizes(grouped, n)[1]["online"]["TA"] == 32 / 8192
+    # A group that leaves out the last agent.
+    grouped.send_each("online", "AggregateSubmit", ids[:-1], "TO", 32)
+    with pytest.raises(AsymmetricTranscriptError,
+                       match=f"TA{n - 1} online traffic is 0 bits"):
+        harness.measure_sizes(grouped, n)
+    partial = Transcript()
+    partial.store_each(ids[1:], "keygen", 32)
+    with pytest.raises(AsymmetricTranscriptError, match="keygen storage"):
+        harness.measure_sizes(partial, n)
+
+
+def test_grouped_counters_reject_unknown_phases_and_uneven_totals():
+    transcript = Transcript()
+    with pytest.raises(KeyError, match="'negotiaton'"):
+        transcript.send_each("negotiaton", "AggregateSubmit", ("TA0", "TA1"),
+                             "TO", 32)
+    with pytest.raises(KeyError, match="'onlin'"):
+        transcript.store_each(("TA0", "TA1"), "onlin", 32)
+    # A group total is split over its members, never floored.
+    transcript.send("commitment", "AggregateSubmit", ("TA0", "TA1"), "TO", 65)
+    with pytest.raises(AsymmetricTranscriptError, match="split evenly"):
+        harness.measure_sizes(transcript, 2)
+    transcript = Transcript()
+    transcript.store(("TA0", "TA1", "TA2"), "online", 64)
+    with pytest.raises(AsymmetricTranscriptError, match="split evenly"):
+        harness.measure_sizes(transcript, 3)
+
+
 def test_transcript_rejects_unknown_phase():
     transcript = Transcript()
     with pytest.raises(KeyError, match="'negotiaton'"):

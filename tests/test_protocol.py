@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from gridshare import harness, market, pedersen, protocol, sharing
 from gridshare.errors import InvalidParametersError, LifecycleError
 from gridshare.transport import (SCALAR_BITS, SHARE_TRANSFER, TO_ID,
                                  Transcript)
+from tests.conftest import SequenceRng
 
 SCALE = 1000
 SIGMA = harness.ScenarioConfig().sigma_policy()
@@ -300,7 +302,8 @@ class CountingRng:
 
 
 class KindTranscript(Transcript):
-    """A transcript that also counts each sender's bits per message kind."""
+    """A transcript that also counts each sender's bits per message kind;
+    each member of a tuple sender (`send_each`) is credited its share."""
 
     def __init__(self):
         super().__init__()
@@ -308,7 +311,9 @@ class KindTranscript(Transcript):
 
     def send(self, phase, kind, sender, receiver, bits):
         super().send(phase, kind, sender, receiver, bits)
-        self.kind_bits[(sender, kind)] += bits
+        senders = sender if type(sender) is tuple else (sender,)
+        for member in senders:
+            self.kind_bits[(member, kind)] += bits / len(senders)
 
 
 def test_negotiation_draws_the_share_bits_it_sends():
@@ -343,6 +348,39 @@ def test_share_view_reveals_nothing_about_secret():
     for secret in range(p):
         sent = {(secret - kept) % p for kept in range(p)}
         assert sent == set(range(p))
+
+
+def _operator_share_round_view(inputs, m):
+    """How often the operator sees each tuple of per-peer aggregates in
+    one share round mod `m`, over every word vector `sharing.split` can
+    draw for each agent; agent i's share j goes to agent j."""
+    n = len(inputs)
+    words = list(itertools.product(range(m), repeat=n - 1))
+    view = collections.Counter({(0,) * n: 1})
+    for secret in inputs:
+        rows = [sharing.split(secret, n, m, SequenceRng(w)) for w in words]
+        step = collections.Counter()
+        for aggregates, count in view.items():
+            for row in rows:
+                key = tuple((a + s) % m for a, s in zip(aggregates, row))
+                step[key] += count
+        view = step
+    return view
+
+
+def test_operator_view_of_a_share_round_depends_only_on_the_sum():
+    # Exact enumeration at m = 7, N = 3: each agent's two 64-bit words take
+    # each of the 49 pairs of values below 7, so all 7**6 draws of the
+    # round are counted, and the view is uniform over the 49 triples that
+    # sum to 6. Enumeration idealises the generator as uniform, so it
+    # cannot see that peers who collect enough of an agent's MT19937
+    # outputs can clone it and predict its later shares.
+    m = 7
+    view = _operator_share_round_view((1, 2, 3), m)
+    assert view == _operator_share_round_view((3, 2, 1), m)
+    assert view == {t: 2401 for t in itertools.product(range(m), repeat=3)
+                    if sum(t) % m == 6}
+    assert _operator_share_round_view((0, 0, 0), m) != view
 
 
 def test_operator_view_depends_only_on_totals(full_key):

@@ -155,8 +155,8 @@ def test_ring_split_is_one_bulk_draw():
 def _share_round(values, rngs, modulus=RING):
     """protocol._share_round with one agent per generator."""
     tas = [SimpleNamespace(id=f"TA{i}", rng=rng) for i, rng in enumerate(rngs)]
-    return protocol._share_round(tas, values, modulus, Transcript(),
-                                 "negotiation")
+    return protocol._share_round(tas, tuple(ta.id for ta in tas), values,
+                                 modulus, Transcript(), "negotiation")
 
 
 def _assert_total_matches_split(values, make_rng, modulus=RING):
