@@ -160,25 +160,36 @@ def measure_sizes(transcript, n_tas):
     every agent's counters agree and TA0 is representative. That is
     checked per agent, each group total split evenly over its members:
     counters that differ, or a total that does not split evenly, raise
-    AsymmetricTranscriptError.
+    AsymmetricTranscriptError, which names the agents whose count is
+    not the one most agents share.
     """
     traffic, storage = {}, {}
     tables = ((transcript.traffic_bits, "traffic", traffic),
               (transcript.storage_bits, "storage", storage))
-    ta0, *others = map(ta_id, range(n_tas))
+    tas = [ta_id(n) for n in range(n_tas)]
     for phase in PHASES:
         for tables_by_phase, what, table in tables:
             counters = _per_member(tables_by_phase[phase], phase, what)
-            expected = counters.get(ta0, 0)
-            for ta in others:
-                got = counters.get(ta, 0)
-                if got != expected:
-                    raise AsymmetricTranscriptError(
-                        f"{ta} {phase} {what} is {got} bits, "
-                        f"{ta0} has {expected}")
-            table[phase] = {"TA": expected / 8 / 1024,
+            got = [counters.get(ta, 0) for ta in tas]
+            if got.count(got[0]) != n_tas:
+                raise AsymmetricTranscriptError(
+                    _asymmetry(tas, got, f"{phase} {what}"))
+            table[phase] = {"TA": got[0] / 8 / 1024,
                             "TO": counters.get(TO_ID, 0) / 8 / 1024}
     return traffic, storage
+
+
+def _asymmetry(tas, got, counter):
+    """Names each agent whose `counter` bits in `got` differ from the
+    count most agents share (on a tie, TA0's)."""
+    tally = {}
+    for bits in got:
+        tally[bits] = tally.get(bits, 0) + 1
+    shared = max(tally, key=tally.get)
+    odd = [f"{ta} {counter} is {bits} bits"
+           for ta, bits in zip(tas, got) if bits != shared]
+    return (f"{', '.join(odd)}; the other {len(tas) - len(odd)} of "
+            f"{len(tas)} agents have {shared}")
 
 
 def _per_member(counters, phase, what):

@@ -13,7 +13,11 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .errors import DegeneratePreferenceError, InvalidConfigError
+from .errors import (
+    DegeneratePreferenceError,
+    EncodingRangeError,
+    InvalidConfigError,
+)
 
 SELLER = "seller"
 BUYER = "buyer"
@@ -115,29 +119,50 @@ def agent_rows(states):
              abs(st.profile.E_n_tot)) for st in states]
 
 
-def agent_step(agents, gamma, zeta):
+def agent_step(agents, gamma, zeta, codec=None):
     """One round of every agent's update over `agent_rows`: per agent,
     `update_duals`, then `update_energy` (price and preference swapped
     for a buyer), with the same float operations in the same order.
-    Writes each state in place and returns the agents' `signed_trade`s."""
+    Writes each state in place and returns the agents' `signed_trade`s.
+
+    With a `sharing.FixedPointCodec`, each trade comes back as the signed
+    integer round(trade*scale), halves away from zero, in the same pass:
+    its residue mod the codec's modulus is what `encode_all` gives, and
+    a trade `encode_all` rejects raises EncodingRangeError.
+    """
+    scale = None if codec is None else codec.scale
+    half = None if codec is None else (codec.modulus + 1) // 2
     trades = []
     append = trades.append
-    for st, seller, psi, chi, magnitude in agents:
-        E = st.E
-        # `x if x > 0.0 else 0.0` is `max(0.0, x)` for every float, -0.0
-        # and NaN included, without the builtin call. TAProfile rejects
-        # chi <= 0.
-        v_lo = st.v_lo - zeta * E
-        v_lo = v_lo if v_lo > 0.0 else 0.0
-        v_hi = st.v_hi + zeta * (E - magnitude)
-        v_hi = v_hi if v_hi > 0.0 else 0.0
-        if seller:
-            E += zeta * ((psi - gamma + v_lo - v_hi) / chi - E)
-        else:
-            E += zeta * ((gamma - psi + v_lo - v_hi) / chi - E)
-        E = E if E > 0.0 else 0.0
-        st.v_lo, st.v_hi, st.E = v_lo, v_hi, E
-        append(E if seller else -E)
+    try:
+        for st, seller, psi, chi, magnitude in agents:
+            E = st.E
+            # `x if x > 0.0 else 0.0` is `max(0.0, x)` for every float,
+            # -0.0 and NaN included, without the builtin call. TAProfile
+            # rejects chi <= 0.
+            v_lo = st.v_lo - zeta * E
+            v_lo = v_lo if v_lo > 0.0 else 0.0
+            v_hi = st.v_hi + zeta * (E - magnitude)
+            v_hi = v_hi if v_hi > 0.0 else 0.0
+            if seller:
+                E += zeta * ((psi - gamma + v_lo - v_hi) / chi - E)
+            else:
+                E += zeta * ((gamma - psi + v_lo - v_hi) / chi - E)
+            E = E if E > 0.0 else 0.0
+            st.v_lo, st.v_hi, st.E = v_lo, v_hi, E
+            if scale is None:
+                append(E if seller else -E)
+                continue
+            # E is >= 0 and not NaN, so this is int(|trade*scale| + 0.5).
+            m = int(E * scale + 0.5)
+            if m >= half:
+                raise EncodingRangeError(
+                    f"|{E}| * {scale} exceeds the centered range of "
+                    f"modulus {codec.modulus}")
+            append(m if seller else -m)
+    except OverflowError:                   # E*scale is +inf
+        raise EncodingRangeError(f"cannot encode {E if seller else -E!r}"
+                                 ) from None
     return trades
 
 
@@ -193,18 +218,20 @@ class ClearingResult:
     energies: list = field(default_factory=list)
 
 
-def clearing_rounds(states, config, aggregate, worst_case=False):
+def clearing_rounds(states, config, aggregate, worst_case=False,
+                    codec=None):
     """The one clearing loop: each round one `agent_step` call, looked up
-    through the module, steps every agent at the price, `aggregate` maps
-    the signed trades to the imbalance, and the price moves against it.
-    Yields (k, new gamma, imbalance, status) per round, with every state
-    already at that round, and stops after the first round whose status
-    is not CONTINUE."""
+    through the module, steps every agent at the price and returns its
+    trades, fixed-point integers from `codec` if one is given;
+    `aggregate` maps them to the imbalance in kWh, and the price moves
+    against it. Yields (k, new gamma, imbalance, status) per round, with
+    every state already at that round, and stops after the first round
+    whose status is not CONTINUE."""
     rows = agent_rows(states)
     gamma, k, status = config.gamma_init, 0, CONTINUE
     while status == CONTINUE:
         k += 1
-        total = aggregate(agent_step(rows, gamma, config.zeta))
+        total = aggregate(agent_step(rows, gamma, config.zeta, codec))
         gamma_new = update_price(gamma, config.zeta, total)
         status = check_convergence(gamma_new, gamma, k + 1, config,
                                    worst_case)
@@ -224,15 +251,15 @@ def central_clearing(profiles, config, quantize=None, worst_case=False):
     """Run `clearing_rounds` centrally (no sharing, no transport) and
     return its last round.
 
-    `quantize` optionally maps each signed trade through the same
-    fixed-point quantization the shared pipeline applies, which makes
-    the two price trajectories bit-identical.
+    `quantize`, a `sharing.FixedPointCodec`, optionally has each round's
+    trades quantized in the agent step, as the shared pipeline does,
+    which makes the two price trajectories bit-identical.
     """
     states = [AgentState.initial(p) for p in profiles]
     aggregate = _float_sum if quantize is None else (
-        lambda trades: quantize.decode(sum(quantize.encode_all(trades))))
+        lambda trades: quantize.decode(sum(trades)))
     *_, (k, gamma, _, status) = clearing_rounds(states, config, aggregate,
-                                                worst_case)
+                                                worst_case, quantize)
     return ClearingResult(gamma=gamma, iterations=k, status=status,
                           energies=[signed_trade(s) for s in states])
 

@@ -124,32 +124,33 @@ def run_negotiation(tas, config, codec, transcript, secure=True,
     """Iterative price negotiation over `market.clearing_rounds`; returns
     (price, rounds, status).
 
-    In secure mode each round's quantized trades cross the bus as
-    additive shares; in plain mode agents submit them directly. Both
-    modes apply identical fixed-point quantization, so the price
-    trajectories agree bit for bit. Both raise EncodingRangeError when a
+    A round is one `market.agent_step` pass, which steps every agent and
+    returns its trade as a signed fixed-point integer of `codec`. In
+    secure mode those cross the bus as additive shares; in plain mode
+    agents submit them directly. Both modes sum the same integers, so
+    the price trajectories agree bit for bit. Both raise
+    EncodingRangeError for a trade the codec cannot hold, and when a
     round total wraps the codec's modulus. The operator broadcasts each
     round's price, and an accept notice once the loop stops.
     """
     phase = "negotiation"
     senders = tuple(ta.id for ta in tas)
+    modulus = codec.modulus
 
-    def aggregate(trades):
-        values = codec.encode_all(trades)
-        total = codec.decode(
-            _share_round(tas, senders, values, codec.modulus, transcript,
-                         phase) if secure else
-            _plain_round(senders, values, codec.modulus, transcript, phase))
-        # Rounding moves the total by at most N/(2*scale) kWh, a wrap past
-        # the modulus by modulus/scale.
-        if abs(total - sum(trades)) > codec.max_magnitude:
+    def aggregate(values):
+        total = (_share_round(tas, senders, values, modulus, transcript,
+                              phase) if secure else
+                 _plain_round(senders, values, modulus, transcript, phase))
+        signed = sum(values)
+        # The operator reads the total centred, as `codec.decode` does.
+        if (total if total <= modulus // 2 else total - modulus) != signed:
             raise EncodingRangeError(
-                f"the round total {sum(trades)} kWh wraps modulus "
-                f"{codec.modulus}, which holds ±{codec.max_magnitude} kWh")
-        return total
+                f"the round total {signed / codec.scale} kWh wraps modulus "
+                f"{modulus}, which holds ±{codec.max_magnitude} kWh")
+        return codec.decode(total)
 
     for k, gamma, _, status in market.clearing_rounds(
-            [ta.state for ta in tas], config, aggregate, worst_case):
+            [ta.state for ta in tas], config, aggregate, worst_case, codec):
         transcript.broadcast(phase, PRICE_SIGNAL, TO_ID, SCALAR_BITS)
     transcript.broadcast(phase, ACCEPT_NOTIFY, TO_ID, NOTIFY_BITS)
     return gamma, k, status

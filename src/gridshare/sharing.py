@@ -17,7 +17,10 @@ accepted draw and builds no share. The operator's total is the plain
 round's sum (`protocol._share_round`); the draws still fix every later
 draw from the same generators.
 
-A round encodes its N values in one `FixedPointCodec.encode_all` pass.
+A negotiation round's values need no encoding pass: `market.agent_step`
+returns each trade as a signed fixed-point integer, by the same rounding
+rule as `FixedPointCodec.encode_all`, which encodes the stored forecasts
+and the actuals.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ class FixedPointCodec:
 
     def encode_all(self, xs):
         """round(x*scale) mod p for each x in xs, rounding half away from
-        zero: the codec's one rounding rule, one pass per round.
+        zero, in one pass: the codec's rounding rule, which
+        `market.agent_step` applies to a negotiation round's trades.
 
         Raises EncodingRangeError at the first value beyond max_magnitude
         or not finite. Over NEGOTIATION_MODULUS at scale 10^4 that bound

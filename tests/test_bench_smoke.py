@@ -17,9 +17,11 @@ calls, so a change that seeds generators a plain slot never draws from,
 drops one a secure slot needs or reseeds agents for each detection run,
 fails here rather than only costing time or memory. Every run's first
 digest, that of op 0 run untraced, is pinned, so a change that moves any
-workload output fails here. A round encodes its values in one
-`FixedPointCodec.encode_all` pass, which `perfbench/tracing.py` does not
-wrap, so `sharing.codec.*` counts single encodes and decodes only.
+workload output fails here. A negotiation round is one `agent_step`
+pass that returns fixed-point integers, and `FixedPointCodec.encode_all`
+encodes only the stored forecasts and the actuals; `perfbench/tracing.py`
+does not wrap it, so `sharing.codec.*` counts single encodes and
+decodes only.
 `transport.send.calls` counts one call per round, not one per message:
 a message every agent sends in a round is one `Transcript.send_each`,
 which is one `send` of the group's total. A reveal stays one send per

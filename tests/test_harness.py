@@ -267,6 +267,24 @@ def test_grouped_sends_and_stores_count_as_one_per_agent(n):
         harness.measure_sizes(partial, n)
 
 
+def test_asymmetry_names_the_agents_that_differ_from_the_most():
+    # The group leaves out TA0, so TA0 is the odd one out, not TA1.
+    transcript = Transcript()
+    transcript.send_each("online", "AggregateSubmit", ("TA1", "TA2"), "TO",
+                         32)
+    with pytest.raises(AsymmetricTranscriptError, match=(
+            "^TA0 online traffic is 0 bits; the other 2 of 3 agents have "
+            "32$")):
+        harness.measure_sizes(transcript, 3)
+    # Every agent off the shared count is named, with its own count.
+    transcript.send("online", "AggregateSubmit", "TA3", "TO", 32)
+    transcript.send("online", "AggregateSubmit", "TA4", "TO", 64)
+    with pytest.raises(AsymmetricTranscriptError, match=(
+            "^TA0 online traffic is 0 bits, TA4 online traffic is 64 bits; "
+            "the other 3 of 5 agents have 32$")):
+        harness.measure_sizes(transcript, 5)
+
+
 def test_grouped_counters_reject_unknown_phases_and_uneven_totals():
     transcript = Transcript()
     with pytest.raises(KeyError, match="'negotiaton'"):

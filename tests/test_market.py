@@ -9,7 +9,11 @@ import random
 import pytest
 
 from gridshare import market, sharing
-from gridshare.errors import DegeneratePreferenceError, InvalidConfigError
+from gridshare.errors import (
+    DegeneratePreferenceError,
+    EncodingRangeError,
+    InvalidConfigError,
+)
 from tests import reference_slot
 
 
@@ -146,15 +150,20 @@ def _step_rounds():
         yield 26.0, zeta, [(12.0, 4.0, 15.0, 8.0, 31.0, 0.09)]
 
 
+def _step_states(agents, roles=(market.SELLER, market.BUYER)):
+    # Each agent once per role in `roles`, interleaved.
+    return [market.AgentState(
+        market.TAProfile(0, role, forecast, v_lo, v_hi, psi, chi),
+        v_lo, v_hi, E)
+        for magnitude, v_lo, v_hi, E, psi, chi in agents
+        for role, forecast in ((market.SELLER, magnitude),
+                               (market.BUYER, -magnitude))
+        if role in roles]
+
+
 def test_agent_step_is_bit_equal_to_the_reference_formulas():
     for gamma, zeta, agents in _step_rounds():
-        # Each agent once as a seller and once as a buyer, interleaved.
-        states = [market.AgentState(
-            market.TAProfile(0, role, forecast, v_lo, v_hi, psi, chi),
-            v_lo, v_hi, E)
-            for magnitude, v_lo, v_hi, E, psi, chi in agents
-            for role, forecast in ((market.SELLER, magnitude),
-                                   (market.BUYER, -magnitude))]
+        states = _step_states(agents)
         expected = [reference_slot.agent_update(st.profile, st.v_lo, st.v_hi,
                                                 st.E, gamma, zeta)
                     for st in states]
@@ -165,6 +174,99 @@ def test_agent_step_is_bit_equal_to_the_reference_formulas():
         for g, e, st in zip(got, expected, states):
             assert [x.hex() for x in g] == [x.hex() for x in e], (
                 st.profile, gamma, zeta)
+
+
+# The negotiation ring at scale 10^4, and an odd modulus whose +-500 kWh
+# range the trades of a large community at zeta = 0.2 pass.
+STEP_CODECS = (sharing.FixedPointCodec(sharing.NEGOTIATION_MODULUS, 10_000),
+               sharing.FixedPointCodec(1_000_003, 1_000))
+
+
+def _centred(codec, values):
+    half = codec.modulus // 2
+    return [v - codec.modulus if v > half else v for v in values]
+
+
+def _fused_step(states, gamma, zeta, codec):
+    """`agent_step` with `codec` on a copy of `states`, and the float step
+    then `codec.encode_all` on another. Asserts that both give the same
+    centred ints, or both raise EncodingRangeError, and bit-equal states;
+    returns the fused step's states, or None if both raised."""
+    results = []
+    for fused in (True, False):
+        stepped = [market.AgentState(st.profile, st.v_lo, st.v_hi, st.E)
+                   for st in states]
+        rows = market.agent_rows(stepped)
+        try:
+            trades = (market.agent_step(rows, gamma, zeta, codec) if fused
+                      else _centred(codec, codec.encode_all(
+                          market.agent_step(rows, gamma, zeta))))
+        except EncodingRangeError:
+            trades, stepped = EncodingRangeError, None
+        results.append((trades, stepped))
+    (fused, fused_states), (two_pass, two_pass_states) = results
+    where = (codec, gamma, zeta)
+    assert fused == two_pass, where
+    if fused is not EncodingRangeError:
+        assert all(type(v) is int for v in fused), where
+        assert _state_bits(fused_states) == _state_bits(two_pass_states), \
+            where
+    return fused_states
+
+
+def _boundary_rounds(codec):
+    """(gamma, zeta, agents) rounds, as `_step_rounds` yields them, whose
+    one seller trades psi and whose one buyer trades gamma: at zeta = 1,
+    zero duals and E = 0, the step sets E to the drift. The trades are a
+    tie, x*scale = 2.5 exactly, then around the smallest |x| that
+    `encode_all` rejects, and +inf."""
+    edge = ((codec.modulus + 1) // 2 - 0.5) / codec.scale
+    for x in (2.5 / codec.scale, codec.max_magnitude,
+              math.nextafter(edge, 0.0), edge,
+              math.nextafter(edge, math.inf), 2.0 * edge, math.inf):
+        seller = (1e308, 0.0, 0.0, 0.0, min(x, 1e308),
+                  1.0 if x < math.inf else 1e-10)
+        yield 0.0, 1.0, [seller]
+        yield min(x, 1e308), 1.0, [(1e308, 0.0, 0.0, 0.0, 0.0, seller[5])]
+
+
+def test_fused_agent_step_matches_the_float_step_then_encode_all():
+    # Every `_step_rounds` round, edges included, and trades at the
+    # codec's bound, each agent as both roles.
+    raised = {codec: [] for codec in STEP_CODECS}
+    for gamma, zeta, agents in _step_rounds():
+        states = _step_states(agents)
+        for codec in STEP_CODECS:
+            raised[codec].append(
+                _fused_step(states, gamma, zeta, codec) is None)
+    for codec in STEP_CODECS:
+        for i, (gamma, zeta, agents) in enumerate(_boundary_rounds(codec)):
+            role = market.SELLER if i % 2 == 0 else market.BUYER
+            raised[codec].append(_fused_step(
+                _step_states(agents, (role,)), gamma, zeta, codec) is None)
+        # Both sides raise at zeta = 1e6 and past the bound, and only there.
+        assert raised[codec][-14:] == [False] * 6 + [True] * 8
+        assert sum(raised[codec]) == 9
+
+
+@pytest.mark.parametrize("n", [2, 100, 400])
+def test_fused_agent_step_matches_over_seeded_communities(n):
+    # 100 worst-case rounds of a seeded community at the default zeta,
+    # and at zeta = 0.2, where the larger communities' trades grow past
+    # the odd modulus's range; a run stops at the round that raised.
+    profiles = market.sample_profiles(n, market.random_source(n, "profiles"))
+    stopped = []
+    for codec, zeta in itertools.product(STEP_CODECS, (0.01, 0.2)):
+        states = [market.AgentState.initial(p) for p in profiles]
+        gamma = 10.0
+        for _ in range(100):
+            states = _fused_step(states, gamma, zeta, codec)
+            if states is None:
+                stopped.append((codec.modulus, zeta))
+                break
+            gamma = market.update_price(gamma, zeta, sum(
+                market.signed_trade(st) for st in states))
+    assert stopped == ([] if n == 2 else [(1_000_003, 0.2)])
 
 
 def _fixed_point_profiles(gamma_init):
@@ -314,9 +416,9 @@ def test_clearing_rounds_calls_agent_step_through_the_module_once_per_round(
         monkeypatch):
     step, calls = market.agent_step, []
 
-    def counted(agents, gamma, zeta):
+    def counted(agents, gamma, zeta, codec=None):
         calls.append(len(agents))
-        return step(agents, gamma, zeta)
+        return step(agents, gamma, zeta, codec)
 
     monkeypatch.setattr(market, "agent_step", counted)
     profiles = market.sample_profiles(10, market.random_source(0, "profiles"))
@@ -341,27 +443,44 @@ def test_clearing_rounds_match_the_reference_clearing(n, quantized):
     # Every round's (k, gamma, total, status) and every agent's state at
     # each yield, bit for bit, against `reference_slot.clearing`. At
     # zeta = 0.2 the larger communities oscillate with growing totals, so
-    # the ring sum wraps; both sides get the same wrapped total.
+    # the ring sum wraps; both sides get the same wrapped total. Quantized,
+    # `clearing_rounds` runs twice: once encoding the float trades in its
+    # aggregate, and once with the codec, so that `agent_step` returns
+    # fixed-point trades, as in `protocol.run_negotiation`. The reference
+    # encodes by its per-value formula.
     codec = sharing.FixedPointCodec(sharing.NEGOTIATION_MODULUS, 10_000)
 
     def ring_sum(trades):
         return codec.decode(sum(codec.encode(t) for t in trades)
                             % codec.modulus)
 
+    def reference_ring_sum(trades):
+        return codec.decode(sum(reference_slot.encode(t, codec.scale,
+                                                      codec.modulus)
+                                for t in trades) % codec.modulus)
+
+    def fixed_point_sum(values):
+        return codec.decode(sum(values))
+
     def float_sum(trades):
         return functools.reduce(operator.add, trades, 0.0)
 
-    total_of = ring_sum if quantized else float_sum
+    reference_total = reference_ring_sum if quantized else float_sum
+    drivers = ([(ring_sum, None), (fixed_point_sum, codec)] if quantized
+               else [(float_sum, None)])
     profiles = market.sample_profiles(n, market.random_source(n, "profiles"))
-    for worst_case, varsigma, zeta in itertools.product(
-            (False, True), (1, 30, 100), (0.001, 0.01, 0.2)):
+    for (total_of, step_codec), worst_case, varsigma, zeta in (
+            itertools.product(drivers, (False, True), (1, 30, 100),
+                              (0.001, 0.01, 0.2))):
         config = market.MarketConfig(zeta=zeta, varsigma=varsigma)
         states = [market.AgentState.initial(p) for p in profiles]
         rounds = itertools.zip_longest(
-            market.clearing_rounds(states, config, total_of, worst_case),
-            reference_slot.clearing(profiles, config, total_of, worst_case))
+            market.clearing_rounds(states, config, total_of, worst_case,
+                                   step_codec),
+            reference_slot.clearing(profiles, config, reference_total,
+                                    worst_case))
         for got, (k, gamma, total, status, expected) in rounds:
-            where = (worst_case, varsigma, zeta, k)
+            where = (step_codec, worst_case, varsigma, zeta, k)
             assert got[0] == k and got[3] == status, where
             assert _bits(got[1:3]) == _bits((gamma, total)), where
             assert _state_bits(states) == _bits(

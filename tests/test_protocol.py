@@ -7,7 +7,11 @@ from fractions import Fraction
 import pytest
 
 from gridshare import harness, market, pedersen, protocol, sharing
-from gridshare.errors import InvalidParametersError, LifecycleError
+from gridshare.errors import (
+    EncodingRangeError,
+    InvalidParametersError,
+    LifecycleError,
+)
 from gridshare.transport import (SCALAR_BITS, SHARE_TRANSFER, TO_ID,
                                  Transcript)
 from tests.conftest import SequenceRng
@@ -290,6 +294,46 @@ def test_negotiation_secure_equals_plain(full_key):
     assert results[0][1] == reference.iterations
 
 
+@pytest.mark.parametrize("secure", [True, False])
+def test_negotiation_rejects_a_trade_the_codec_cannot_hold(secure):
+    # At zeta = 1, with zero duals, a seller's first trade is its drift
+    # (psi - gamma)/chi: 300 000 kWh, past the ring's +-214 748 kWh at
+    # scale 10^4, and then +inf. The step raises before any round total.
+    codec = sharing.FixedPointCodec(sharing.NEGOTIATION_MODULUS, 10_000)
+    buyer = market.TAProfile(1, market.BUYER, -10.0, 0.0, 0.0, 30.0, 0.1)
+    for psi, chi in ((300_010.0, 1.0), (1e308, 1e-10)):
+        seller = market.TAProfile(0, market.SELLER, 10.0, 0.0, 0.0, psi, chi)
+        tas = [protocol.TAgent(p, random.Random(p.index))
+               for p in (seller, buyer)]
+        with pytest.raises(EncodingRangeError, match="exceeds|encode"):
+            protocol.run_negotiation(tas, market.MarketConfig(zeta=1.0),
+                                     codec, Transcript(), secure=secure)
+
+
+def test_negotiation_makes_no_encoding_pass(monkeypatch):
+    # A round is one `agent_step` pass that returns fixed-point trades:
+    # negotiation calls neither `encode_all` nor `encode`, which calls it.
+    calls = []
+    encode_all = sharing.FixedPointCodec.encode_all
+
+    def counted(codec, xs):
+        calls.append(codec)
+        return encode_all(codec, xs)
+    monkeypatch.setattr(sharing.FixedPointCodec, "encode_all", counted)
+    codec = sharing.FixedPointCodec(sharing.NEGOTIATION_MODULUS, 10_000)
+    profiles = market.sample_profiles(10, random.Random(1))
+    for secure in (True, False):
+        tas = [protocol.TAgent(p, market.random_source(2, f"ta{p.index}"))
+               for p in profiles]
+        _, k, _ = protocol.run_negotiation(
+            tas, market.MarketConfig(varsigma=20), codec, Transcript(),
+            secure=secure, worst_case=True)
+        assert k == 20
+    assert calls == []
+    codec.encode(1.0)
+    assert calls == [codec]
+
+
 class CountingRng:
     """Delegates to a generator and counts the random bits asked of it."""
 
@@ -430,3 +474,68 @@ def test_public_price_gives_one_agent_its_peers_trade_at_n2(monkeypatch):
     # At these seeds the price stays above 0 throughout, so every round
     # gives the peer's trade away.
     assert read == len(rounds) == config.varsigma
+
+
+def _untemper(y):
+    """The MT19937 state word whose tempered output is y."""
+    y ^= y >> 18
+    y ^= (y << 15) & 0xEFC60000
+    x = y
+    for _ in range(4):          # each pass fixes 7 more low bits
+        x = y ^ ((x << 7) & 0x9D2C5680)
+    y = x ^ (x >> 11)
+    return y ^ (y >> 22)
+
+
+def _temper(x):
+    x ^= x >> 11
+    x ^= (x << 7) & 0x9D2C5680
+    x ^= (x << 15) & 0xEFC60000
+    return x ^ (x >> 18)
+
+
+def test_twenty_peer_slots_clone_an_agents_generator(full_key, monkeypatch):
+    # MT19937 is linear and its tempering inverts: output t's state word
+    # follows from those of outputs t-624, t-623 and t-227. Over the ring
+    # an agent's N-1 shares of a round are consecutive 32-bit outputs, so
+    # peers that hold shares 0-19 of agent ta7's 100 worst-case rounds at
+    # N = 100 clone its generator and predict the r_n it commits with.
+    # With a cryptographic generator this prediction must fail.
+    build_agents, tas, draws = harness.build_agents, [], []
+
+    def recording_build(config):
+        tas.extend(build_agents(config))
+        rng = tas[7].rng
+        getrandbits = rng.getrandbits
+
+        def recorded(k):
+            draws.append((k, getrandbits(k)))
+            return draws[-1][1]
+        rng.getrandbits = recorded
+        return tas
+    monkeypatch.setattr(harness, "build_agents", recording_build)
+    config = harness.ScenarioConfig(n_tas=100, worst_case=True)
+    harness.run_scenario(config, ck=full_key)
+
+    words = config.n_tas - 1                  # outputs per round
+    assert [k for k, _ in draws[:100]] == [32 * words] * 100
+    state = {}                                # output index -> state word
+    for r, (_, x) in enumerate(draws[:100]):
+        for j in range(20):
+            state[words * r + j] = _untemper(x >> (32 * j) & 0xFFFFFFFF)
+    for t in range(624, 100 * words + 64):
+        if t not in state and all(u in state
+                                  for u in (t - 624, t - 623, t - 227)):
+            y = (state[t - 624] & 0x80000000) | (state[t - 623]
+                                                 & 0x7FFFFFFF)
+            state[t] = (state[t - 227] ^ (y >> 1)
+                        ^ (0x9908B0DF if y & 1 else 0))
+    # The clone knows every word of the last round,
+    assert [_temper(state[99 * words + j]) for j in range(words)] == [
+        draws[99][1] >> (32 * j) & 0xFFFFFFFF for j in range(words)]
+    # and r_n = randrange(p): the top bits of the next outputs, the first
+    # below p.
+    k, t = full_key.p.bit_length(), 100 * words
+    while (r_n := _temper(state[t]) >> (32 - k)) >= full_key.p:
+        t += 1
+    assert r_n == tas[7].r_n

@@ -287,25 +287,30 @@ def test_ring_round_decodes_signed_aggregate():
 
 def _negotiation_rounds(tas, secure, varsigma=1, signed_trade=None):
     """Run a worst-case negotiation of `tas` over the ring at scale 10^4
-    and return each round's (trades, decoded total); `signed_trade`, if
-    given, replaces each round's step by every agent's trade of its
-    state."""
+    and return each round's (float trades read from the states at the
+    yield, decoded total); `signed_trade`, if given, replaces each
+    round's step by every agent's trade of its state, fixed-point by the
+    per-value reference encoding, and leaves the states alone."""
     seen = []
     clearing_rounds = market.clearing_rounds
 
-    def recorded(states, config, aggregate, worst_case=False):
-        def recording(trades):
-            total = aggregate(trades)
-            seen.append((trades, total))
-            return total
-        return clearing_rounds(states, config, recording, worst_case)
+    def recorded(states, *args, **kwargs):
+        for k, gamma, total, status in clearing_rounds(states, *args,
+                                                       **kwargs):
+            seen.append(([market.signed_trade(st) for st in states], total))
+            yield k, gamma, total, status
+
+    def fixed_trades(agents, gamma, zeta, codec):
+        half = codec.modulus // 2
+        return [v - codec.modulus if v > half else v
+                for v in (reference_slot.encode(signed_trade(st), codec.scale,
+                                                codec.modulus)
+                          for st, *_ in agents)]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(market, "clearing_rounds", recorded)
         if signed_trade is not None:
-            mp.setattr(market, "agent_step",
-                       lambda agents, gamma, zeta: [signed_trade(st)
-                                                    for st, *_ in agents])
+            mp.setattr(market, "agent_step", fixed_trades)
         protocol.run_negotiation(
             tas, market.MarketConfig(varsigma=varsigma),
             sharing.FixedPointCodec(RING, 10_000), Transcript(),
@@ -342,6 +347,17 @@ def test_ring_round_largest_inside_total_decodes_exactly():
         for sign in (1, -1):
             assert (_fixed_trade_totals(sign * 268.435, 800, secure)
                     == [sign * limit])
+
+
+def test_ring_round_total_at_exactly_half_the_ring():
+    # Two trades of 2**30 at scale 10^4 total 2**31, half the ring. The
+    # operator reads it centred, as `decode` does: +2**31 is the largest
+    # total it decodes, and -2**31 reads as +2**31, so it wraps.
+    kwh = 2**30 / 10_000
+    for secure in (True, False):
+        assert _fixed_trade_totals(kwh, 2, secure) == [214_748.3648]
+        with pytest.raises(EncodingRangeError, match="wraps"):
+            _fixed_trade_totals(-kwh, 2, secure)
 
 
 def test_plain_worst_case_negotiation_at_n800_stays_inside_the_ring():
